@@ -271,9 +271,17 @@ let prune_entry t dpt pid =
         ~args:[ ("pid", pid) ] ()
   | None -> ()
 
+(* Every event that sets an entry's rLSN (a first mention, a re-add after a
+   prune, an FW-LSN raise) pushes its pid onto [pf]; [dc_recovery] keeps
+   only each pid's last push, so the list follows the order in which redo
+   will first need the pages. *)
 let process_delta t ~pf ~prev_delta (d : Lr.delta) =
   let dpt = t.dpt in
   let add_entry pid rlsn = if Dpt.add dpt ~pid ~lsn:rlsn then Ivec.push pf pid in
+  let raise_rlsn pid to_ =
+    Dpt.raise_rlsn dpt ~pid ~to_;
+    Ivec.push pf pid
+  in
   if Array.length d.Lr.dirty_lsns > 0 then begin
     (* Appendix D.1 "perfect DPT": exact dirtying LSNs, SQL-grade pruning. *)
     Array.iteri (fun i pid -> add_entry pid d.Lr.dirty_lsns.(i)) d.Lr.dirty;
@@ -287,7 +295,7 @@ let process_delta t ~pf ~prev_delta (d : Lr.delta) =
                  interval's first write (see the same fix in Algorithm 3,
                  recovery.ml). *)
               if last < d.Lr.fw_lsn then prune_entry t dpt pid
-              else if rlsn < d.Lr.fw_lsn then Dpt.raise_rlsn dpt ~pid ~to_:d.Lr.fw_lsn
+              else if rlsn < d.Lr.fw_lsn then raise_rlsn pid d.Lr.fw_lsn
           | None -> ())
         d.Lr.written
   end
@@ -314,10 +322,24 @@ let process_delta t ~pf ~prev_delta (d : Lr.delta) =
         (fun pid ->
           match Dpt.find dpt pid with
           | Some (_, last) when last < d.Lr.fw_lsn -> prune_entry t dpt pid
-          | Some (rlsn, _) when rlsn < d.Lr.fw_lsn -> Dpt.raise_rlsn dpt ~pid ~to_:d.Lr.fw_lsn
+          | Some (rlsn, _) when rlsn < d.Lr.fw_lsn -> raise_rlsn pid d.Lr.fw_lsn
           | Some _ | None -> ())
         d.Lr.written
   end
+
+(* The PF list (Appendix A.2): one slot per DPT entry, at that pid's last
+   push, in push order. *)
+let last_pushes pf ~keep =
+  let seen = Hashtbl.create (Ivec.length pf) in
+  let out = ref [] in
+  for i = Ivec.length pf - 1 downto 0 do
+    let pid = Ivec.get pf i in
+    if (not (Hashtbl.mem seen pid)) && keep pid then begin
+      Hashtbl.add seen pid ();
+      out := pid :: !out
+    end
+  done;
+  Array.of_list !out
 
 let dc_recovery t ~log ~from ~bckpt ~build_dpt ~(stats : Recovery_stats.cells) =
   Hashtbl.reset t.heights;
@@ -337,7 +359,7 @@ let dc_recovery t ~log ~from ~bckpt ~build_dpt ~(stats : Recovery_stats.cells) =
       | Lr.Aries_ckpt_dpt _ ->
           ());
   t.last_delta_tclsn <- !prev_delta;
-  t.pf <- Ivec.to_array pf;
+  t.pf <- last_pushes pf ~keep:(Dpt.mem t.dpt);
   if build_dpt then Metrics.add stats.Recovery_stats.dpt_size (Dpt.size t.dpt)
 
 let preload_indexes t ~stats =

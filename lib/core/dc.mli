@@ -122,6 +122,11 @@ val dc_recovery :
 
 val dpt : t -> Dpt.t
 val pf_list : t -> int array
+(** The prefetch list of Appendix A.2 built by the last [dc_recovery]:
+    each DPT pid exactly once, at the last Δ event that set its rLSN (a
+    first mention, a re-add after a prune, or an FW-LSN raise), in that
+    event order. *)
+
 val last_delta_tclsn : t -> Deut_wal.Lsn.t
 
 val set_dpt : t -> Dpt.t -> unit

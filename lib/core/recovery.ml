@@ -146,17 +146,22 @@ let aries_analysis log ~from ~(stats : Recovery_stats.cells) =
   in
   (dpt, redo_start)
 
-(* Data-page prefetch driver for Log2 (Appendix A.2): keep the in-flight
-   set topped up from either the PF-list (the paper's log-driven choice,
-   deduplicated DirtySets in update order, skipping entries since pruned
-   from the DPT) or the DPT itself in ascending rLSN order (the discussed
-   alternative). *)
+(* The data pages Log2 reads ahead, in read-ahead order (Appendix A.2):
+   either the PF-list (the paper's log-driven choice, one slot per DPT
+   entry at its last rLSN-setting push) or the DPT itself in ascending
+   rLSN order (the discussed alternative).  The InstantLog2 drain replays
+   pages in this same order, so the prefetcher leads it the way it leads
+   offline redo. *)
+let prefetch_order dc =
+  match (Dc.config dc).Config.prefetch_source with
+  | Config.Pf_list -> Dc.pf_list dc
+  | Config.Dpt_order -> Array.of_list (Dpt.entries_by_rlsn (Dc.dpt dc))
+
+(* Data-page prefetch driver for Log2 redo and the InstantLog2 drain: keep
+   the in-flight set topped up from [prefetch_order], skipping pids no
+   longer in the DPT. *)
 let make_pf_prefetcher dc ~lane ~workers =
-  let pf =
-    match (Dc.config dc).Config.prefetch_source with
-    | Config.Pf_list -> Dc.pf_list dc
-    | Config.Dpt_order -> Array.of_list (Dpt.entries_by_rlsn (Dc.dpt dc))
-  in
+  let pf = prefetch_order dc in
   let pool = Dc.pool dc in
   let config = Dc.config dc in
   (* Each worker owns a contiguous segment of the PF list: segments keep
@@ -767,9 +772,10 @@ let recover_offline ?config ?undo_fault_after_clrs image method_ =
 
 (* An open-for-business engine with redo still pending.  [i_pending] maps a
    leaf pid to that page's slice of the redo range (in log order);
-   [i_order] remembers the pids by first appearance in the log — the
-   background drain replays them in that order, which matches the page
-   order the offline pass would have first touched them in.
+   [i_order] is the background drain's page order: the pending pages of
+   the prefetch order first, then the rest by first appearance in the log.
+   [i_prefetch] is the Log2 read-ahead pipeline, pumped once per drain step
+   so its reads stay ahead of the pages the drain replays next.
 
    Both the history index and the loser rollback are deferred past the
    open: [i_records] holds the raw redo range until the first page demand
@@ -782,6 +788,7 @@ type instant = {
   i_stats : Recovery_stats.cells;
   i_pending : (int, (Lsn.t * Lr.redo_view) list) Hashtbl.t;
   mutable i_order : int list;
+  i_prefetch : unit -> unit;
   mutable i_records : (Lsn.t * Lr.t) array;  (* redo range, unindexed until first demand *)
   mutable i_built : bool;
   mutable i_building : bool;
@@ -849,7 +856,7 @@ let ensure_history sess =
     let stats = sess.i_stats in
     let t0 = Clock.now clock in
     Dc.preload_indexes dc ~stats;
-    let order = ref [] in
+    let appearance = ref [] in
     Array.iter
       (fun (lsn, record) ->
         Metrics.incr stats.Recovery_stats.records_scanned;
@@ -861,11 +868,23 @@ let ensure_history sess =
             (match Hashtbl.find_opt sess.i_pending pid with
             | Some slice -> Hashtbl.replace sess.i_pending pid ((lsn, view) :: slice)
             | None ->
-                order := pid :: !order;
+                appearance := pid :: !appearance;
                 Hashtbl.replace sess.i_pending pid [ (lsn, view) ]))
       sess.i_records;
     Hashtbl.filter_map_inplace (fun _ slice -> Some (List.rev slice)) sess.i_pending;
-    sess.i_order <- List.rev !order;
+    (* Drain order: the prefetcher's pages first, so every page it reads
+       ahead is the one the drain replays next, then the pending leaves
+       outside the DPT in first-appearance order. *)
+    let listed = Hashtbl.create (Hashtbl.length sess.i_pending) in
+    let take acc pid =
+      if Hashtbl.mem sess.i_pending pid && not (Hashtbl.mem listed pid) then begin
+        Hashtbl.add listed pid ();
+        pid :: acc
+      end
+      else acc
+    in
+    let order = Array.fold_left take [] (prefetch_order dc) in
+    sess.i_order <- List.rev (List.fold_left take order (List.rev !appearance));
     sess.i_records <- [||];
     sess.i_built <- true;
     sess.i_building <- false;
@@ -987,6 +1006,7 @@ let recover_instant ?config ?undo_fault_after_clrs image =
       i_stats = stats;
       i_pending = Hashtbl.create 256;
       i_order = [];
+      i_prefetch = make_pf_prefetcher dc ~lane:0 ~workers:1;
       i_records = scan.records;
       i_built = false;
       i_building = false;
@@ -1003,17 +1023,20 @@ let recover_instant ?config ?undo_fault_after_clrs image =
      keeps the touch from counting as the first page demand. *)
   Dc.open_tables dc;
   (* From here, any page touch — a client read, an undo compensation, an
-     eviction or lazy-writer flush — builds the history index if needed
-     and replays that page's slice first.  (The filter cannot be "is the
-     pid in the DPT": a pre-crash split can leave a key's final leaf
-     different from the pid its Δ record dirtied, so a pending leaf need
-     not appear in the DPT at all — only the built index knows.) *)
+     eviction — builds the history index if needed and replays that page's
+     slice first.  (The filter cannot be "is the pid in the DPT": a
+     pre-crash split can leave a key's final leaf different from the pid
+     its Δ record dirtied, so a pending leaf need not appear in the DPT at
+     all — only the built index knows.) *)
   Pool.set_redo_hook pool
     (Some
        (fun pid ->
          ensure_history sess;
          replay_page sess ~background:false pid));
-  Pool.set_lazy_writer_enabled pool true;
+  (* The lazy writer stays off until [instant_finish], as offline Log2
+     keeps it off until its undo ends: its writes would queue on the data
+     disk ahead of the drain's reads.  Evictions still write dirty victims
+     back, WAL first and after the hook has replayed them. *)
   (* Open for business: time-to-first-transaction is now. *)
   Metrics.fset stats.Recovery_stats.ttft_us (Clock.now clock -. t_start);
   (match trace with
@@ -1025,9 +1048,9 @@ let recover_instant ?config ?undo_fault_after_clrs image =
   sess
 
 (* One background-drain step: finish any deferred recovery work first
-   (history index, loser rollback), then replay the next still-pending
-   page in log first-touch order.  Returns [false] once nothing is
-   pending. *)
+   (history index, loser rollback), then top up the read-ahead and replay
+   the next still-pending page in drain order.  Returns [false] once
+   nothing is pending. *)
 let instant_step sess =
   ensure_history sess;
   ensure_undo sess;
@@ -1038,6 +1061,7 @@ let instant_step sess =
     | pid :: rest ->
         if Hashtbl.mem sess.i_pending pid then begin
           sess.i_order <- rest;
+          sess.i_prefetch ();
           replay_page sess ~background:true pid;
           true
         end
@@ -1047,8 +1071,9 @@ let instant_step sess =
 
 let instant_drain sess = while instant_step sess do () done
 
-(* Close the recovery: drain whatever is left, re-enable maintenance,
-   uninstall the hook and finalise the IO accounting.  Idempotent. *)
+(* Close the recovery: drain whatever is left, re-enable maintenance (the
+   lazy writer and merges), uninstall the hook and finalise the IO
+   accounting.  Idempotent. *)
 let instant_finish sess =
   let engine = sess.i_engine in
   let { Engine.clock; pool; dc; _ } = engine in
@@ -1059,6 +1084,7 @@ let instant_finish sess =
     ensure_undo sess;
     instant_drain sess;
     Pool.set_redo_hook pool None;
+    Pool.set_lazy_writer_enabled pool true;
     Dc.set_merge_allowed dc true;
     Metrics.fset stats.Recovery_stats.drained_us (Clock.now clock -. sess.i_t0);
     let c = Pool.counters pool in

@@ -71,8 +71,8 @@ val recover_shard : Engine.t -> int -> unit
     moment; no data page has been touched yet.  Everything else is
     deferred and demand-driven:
 
-    - Any page touch from then on (client read or update, eviction,
-      lazy-writer or checkpoint flush) first builds the per-page history
+    - Any page touch from then on (client read or update, eviction
+      flush) first builds the per-page history
       index over the redo range (once, with a batched warm-up of the
       index levels) and replays that page's pending slice, so no page is
       ever served or written back with redo outstanding.
@@ -84,8 +84,11 @@ val recover_shard : Engine.t -> int -> unit
 
     Callers interleave {!instant_step} with client work on the virtual
     clock until the pending set drains, then call {!instant_finish}
-    (idempotent; finishes rollback, drains anything left, re-enables page
-    merges, uninstalls the hook and finalises the statistics). *)
+    (idempotent; finishes rollback, drains anything left, re-enables the
+    lazy writer and page merges, uninstalls the hook and finalises the
+    statistics).  The lazy writer stays off until then, as offline Log2
+    keeps it off until its undo ends, so the drain's reads do not queue
+    behind background writes. *)
 
 type instant
 
@@ -111,8 +114,9 @@ val instant_force_undo : instant -> unit
 
 val instant_step : instant -> bool
 (** Finish any deferred recovery work (history index, loser rollback),
-    then replay one pending page (log first-touch order); [false] when
-    the pending set is empty. *)
+    pump Log2's PF-list prefetcher once, then replay one pending page —
+    in the prefetcher's order first, then by first appearance in the
+    log; [false] when the pending set is empty. *)
 
 val instant_drain : instant -> unit
 (** Run {!instant_step} to exhaustion. *)

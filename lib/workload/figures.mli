@@ -260,7 +260,8 @@ type availability_cell = {
   v_ttft_ms : float;  (** open for business: analysis + sequential log scan *)
   v_drained_ms : float;  (** background redo fully drained (same staged run) *)
   v_log2_total_ms : float;  (** offline Log2 baseline on the same image *)
-  v_speedup : float;  (** drained / open — the availability win *)
+  v_speedup : float;  (** drained / open, against InstantLog2's own drain *)
+  v_speedup_vs_log2 : float;  (** offline Log2 total / open — the availability win *)
   v_pages_ondemand : int;  (** pages replayed by probe-read faults *)
   v_pages_background : int;  (** pages replayed by the drain *)
   v_probe_reads : int;  (** reads served while redo was still pending *)
@@ -284,8 +285,8 @@ val run_availability :
     scale 64, the paper's cache sizes, 32 probe reads. *)
 
 val availability_table : availability_cell list -> string
-(** TTFT vs full-recovery time, speedup, and replay-path page counts per
-    cache size. *)
+(** TTFT vs full-recovery time, both speedups (against the drain and
+    against offline Log2), and replay-path page counts per cache size. *)
 
 (** One (cache size, method) cell of the trace-mined prefetch-tuning sweep. *)
 type tuning_cell = {

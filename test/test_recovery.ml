@@ -378,6 +378,76 @@ let test_dpt_order_prefetch_variant () =
   check_int "same redo work either way" stats2.Recovery_stats.redo_applied
     stats.Recovery_stats.redo_applied
 
+(* Appendix A.2's PF list after the fix: every DPT entry once, at its last
+   rLSN-setting push, and nothing the DPT no longer holds.  The crash must
+   exercise the cases that used to leave stale slots: a page written (so
+   prunable) in one Δ interval and dirtied again in a later one. *)
+let test_pf_list_permutes_dpt () =
+  List.iter
+    (fun dpt_mode ->
+      let mode = Config.dpt_mode_to_string dpt_mode in
+      let _driver, image = make_crash ~dpt_mode () in
+      let engine = Crash_image.instantiate image in
+      let dc = engine.Engine.dc in
+      let bckpt = Crash_image.master image in
+      Dc.dc_recovery dc ~log:engine.Engine.log ~from:bckpt ~bckpt ~build_dpt:true
+        ~stats:(Recovery_stats.create ());
+      let written = Hashtbl.create 64 in
+      let redirtied = ref 0 in
+      Log.iter engine.Engine.log ~from:bckpt (fun _ record ->
+          match record with
+          | Lr.Delta d when d.Lr.tc_lsn > bckpt ->
+              Array.iter (fun pid -> if Hashtbl.mem written pid then incr redirtied) d.Lr.dirty;
+              Array.iter (fun pid -> Hashtbl.replace written pid ()) d.Lr.written
+          | _ -> ());
+      check (mode ^ ": the Δ-log re-dirties written pages") true (!redirtied > 0);
+      let dpt = Dc.dpt dc in
+      let pf = Dc.pf_list dc in
+      check (mode ^ ": non-empty DPT") true (Dpt.size dpt > 0);
+      check_int (mode ^ ": one PF slot per DPT entry") (Dpt.size dpt) (Array.length pf);
+      let seen = Hashtbl.create 64 in
+      Array.iter
+        (fun pid ->
+          if Hashtbl.mem seen pid then Alcotest.failf "%s: pid %d listed twice" mode pid;
+          Hashtbl.add seen pid ();
+          if not (Dpt.mem dpt pid) then Alcotest.failf "%s: pid %d not in the DPT" mode pid)
+        pf)
+    [ Config.Standard; Config.Perfect; Config.Reduced ]
+
+(* A crash whose DPT fits in cache under a 10x checkpoint interval (the
+   paper's large-cache, long-log corner, at 1/512 scale): the PF list must
+   lead nearly every data read of Log2, and the staged InstantLog2 drain —
+   same prefetcher, lazy writer deferred — must write no data page before
+   [instant_finish] and end close to offline Log2. *)
+let test_prefetch_coverage_and_drain_parity () =
+  let setup = Experiment.paper_setup ~scale:512 ~cache_mb:2048 ~ckpt_multiplier:10 () in
+  let run = Experiment.build setup in
+  let image = run.Experiment.image in
+  let verify what db =
+    match Driver.verify_recovered run.Experiment.driver db with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "%s: %s" what msg
+  in
+  let db2, s2 = Db.recover image Recovery.Log2 in
+  verify "Log2" db2;
+  let fetches = s2.Recovery_stats.data_page_fetches in
+  check "Log2 reads data pages" true (fetches > 100);
+  if 10 * s2.Recovery_stats.prefetch_issued < 9 * fetches then
+    Alcotest.failf "Log2 prefetched %d of %d data fetches (< 90%%)"
+      s2.Recovery_stats.prefetch_issued fetches;
+  let inst = Db.recover_instant image in
+  let db = Db.instant_db inst in
+  let disk = (Db.engine db).Engine.data_disk in
+  let written0 = (Deut_sim.Disk.counters disk).Deut_sim.Disk.pages_written in
+  while Db.instant_step inst do () done;
+  check_int "no data page written before instant_finish" written0
+    (Deut_sim.Disk.counters disk).Deut_sim.Disk.pages_written;
+  let si = Db.instant_finish inst in
+  verify "staged InstantLog2" db;
+  let drained = Recovery_stats.drained_ms si and log2 = Recovery_stats.total_ms s2 in
+  if drained > 1.1 *. log2 then
+    Alcotest.failf "drain took %.1f ms, offline Log2 %.1f ms (> 1.1x)" drained log2
+
 let test_crash_during_undo () =
   (* The ARIES CLR discipline: crash in the middle of the undo pass, then
      recover again — compensation must resume at the last CLR's undo-next,
@@ -549,6 +619,9 @@ let suite =
     Alcotest.test_case "recovered db usable" `Quick test_recovered_db_usable;
     Alcotest.test_case "committed tail redone" `Quick test_committed_tail_redone;
     Alcotest.test_case "DPT-order prefetch variant (A.2)" `Quick test_dpt_order_prefetch_variant;
+    Alcotest.test_case "PF list is a permutation of the DPT" `Quick test_pf_list_permutes_dpt;
+    Alcotest.test_case "prefetch coverage and drain parity" `Quick
+      test_prefetch_coverage_and_drain_parity;
     Alcotest.test_case "crash during undo (CLR resumption)" `Quick test_crash_during_undo;
     Alcotest.test_case "stats accounting" `Quick test_stats_accounting_consistent;
     Alcotest.test_case "stats reset between runs" `Quick test_stats_reset_between_runs;
