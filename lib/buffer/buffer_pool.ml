@@ -38,6 +38,16 @@ type frame = {
   mutable dirtied_at : int;  (* update tick of the clean->dirty transition *)
 }
 
+(* One prefetch pipeline's share of the in-flight set.  [reads] queues the
+   (completion, wanted pages) of each extent run the lane submitted, in
+   submission order — the disk is FIFO, so completions never decrease and
+   [pending_reads] retires finished runs from the front. *)
+type lane = {
+  mutable unclaimed : int;  (* pages in [in_flight] issued by this lane *)
+  reads : (float * int) Queue.t;
+  mutable pending : int;  (* wanted pages in [reads] *)
+}
+
 type t = {
   capacity : int;
   block_pages : int;
@@ -57,7 +67,7 @@ type t = {
   mutable hooks : hooks;
   mutable cur_epoch : bool;
   in_flight : (int, float * int) Hashtbl.t;  (* pid -> completion, issuing lane *)
-  mutable lane_in_flight : int array;  (* per-lane slice of [in_flight], kept in step *)
+  mutable lanes : lane array;
   counters : counters;
   mutable trace : Deut_obs.Trace.t option;
   mutable stall_hist : Deut_obs.Metrics.histogram option;
@@ -101,7 +111,7 @@ let create ~capacity ?(block_pages = 8) ?(lazy_writer_every = 0) ?(lazy_writer_m
     hooks = null_hooks;
     cur_epoch = false;
     in_flight = Hashtbl.create 64;
-    lane_in_flight = Array.make 8 0;
+    lanes = [||];
     counters =
       {
         hits = 0;
@@ -155,19 +165,30 @@ let is_dirty t pid =
 (* The prefetcher polls per-lane occupancy on every step, so the per-lane
    counts are maintained on submit/claim/discard instead of folding the
    whole table per call. *)
+let lane_state t lane =
+  let len = Array.length t.lanes in
+  if lane >= len then
+    t.lanes <-
+      Array.append t.lanes
+        (Array.init (lane + 1 - len) (fun _ ->
+             { unclaimed = 0; reads = Queue.create (); pending = 0 }));
+  t.lanes.(lane)
+
 let in_flight_count ?lane t =
   match lane with
   | None -> Hashtbl.length t.in_flight
-  | Some l -> if l < Array.length t.lane_in_flight then t.lane_in_flight.(l) else 0
+  | Some l -> if l < Array.length t.lanes then t.lanes.(l).unclaimed else 0
 
-let note_in_flight t lane n =
-  let len = Array.length t.lane_in_flight in
-  if lane >= len then begin
-    let grown = Array.make (Stdlib.max (lane + 1) (2 * len)) 0 in
-    Array.blit t.lane_in_flight 0 grown 0 len;
-    t.lane_in_flight <- grown
-  end;
-  t.lane_in_flight.(lane) <- t.lane_in_flight.(lane) + n
+let pending_reads t ~lane =
+  if lane >= Array.length t.lanes then 0
+  else begin
+    let l = t.lanes.(lane) in
+    let now = Clock.now t.clock in
+    while (not (Queue.is_empty l.reads)) && fst (Queue.peek l.reads) <= now do
+      l.pending <- l.pending - snd (Queue.pop l.reads)
+    done;
+    l.pending
+  end
 
 (* Remove [pid] from the in-flight set (claimed by a fetch or overwritten by
    an install), keeping the lane counters in step. *)
@@ -176,7 +197,7 @@ let drop_in_flight t pid =
   | None -> ()
   | Some (_, lane) ->
       Hashtbl.remove t.in_flight pid;
-      t.lane_in_flight.(lane) <- t.lane_in_flight.(lane) - 1
+      t.lanes.(lane).unclaimed <- t.lanes.(lane).unclaimed - 1
 
 let set_redo_hook t hook = t.redo_hook <- hook
 
@@ -427,29 +448,50 @@ let mark_dirty_dc t ~pid ~dc_lsn ~event_lsn =
   mark_dirty_common t ~pid ~stamp:(fun page -> Page.set_dc_plsn page dc_lsn) ~event_lsn
 
 let prefetch t ?(lane = 0) pids =
-  let wanted =
-    List.filter (fun pid -> not (Hashtbl.mem t.by_pid pid || Hashtbl.mem t.in_flight pid)) pids
+  let budget = ref (t.capacity - size t - in_flight_count t) in
+  let accepted =
+    List.filter
+      (fun pid ->
+        !budget > 0
+        && (not (Hashtbl.mem t.by_pid pid || Hashtbl.mem t.in_flight pid))
+        &&
+        (* Reserve the slot now so a repeated pid is taken once; the
+           completion is filled in once the disk has scheduled the batch. *)
+        (Hashtbl.replace t.in_flight pid (infinity, lane);
+         decr budget;
+         true))
+      pids
   in
-  let budget = t.capacity - size t - in_flight_count t in
-  let rec take n = function
-    | [] -> []
-    | _ when n <= 0 -> []
-    | pid :: rest -> pid :: take (n - 1) rest
-  in
-  let accepted = take budget wanted in
-  (* One asynchronous batch: the disk serves it in elevator order, so
-     contiguous pages coalesce into block reads and scattered pages pay the
-     cheaper queued-seek cost. *)
+  (* One asynchronous batch: the disk serves it in elevator order as one
+     run per [block_pages] extent, reading through the gaps between the
+     wanted pages of a run.  Each wanted page is ready when its own run
+     completes; gap pages are read and dropped. *)
   if accepted <> [] then begin
-    let completion = Disk.submit_batch_read t.disk accepted in
-    List.iter (fun pid -> Hashtbl.replace t.in_flight pid (completion, lane)) accepted;
-    note_in_flight t lane (List.length accepted);
-    t.counters.prefetch_issued <- t.counters.prefetch_issued + List.length accepted;
+    let l = lane_state t lane in
+    let rec settle pids = function
+      | [] -> ()
+      | (run : Disk.run) :: runs ->
+          let rec claim n = function
+            | pid :: rest when pid <= run.Disk.last_pid ->
+                Hashtbl.replace t.in_flight pid (run.Disk.completion, lane);
+                claim (n + 1) rest
+            | rest ->
+                Queue.push (run.Disk.completion, n) l.reads;
+                l.pending <- l.pending + n;
+                settle rest runs
+          in
+          claim 0 pids
+    in
+    settle (List.sort Int.compare accepted)
+      (Disk.submit_batch_read t.disk ~extent:t.block_pages accepted);
+    let n = List.length accepted in
+    l.unclaimed <- l.unclaimed + n;
+    t.counters.prefetch_issued <- t.counters.prefetch_issued + n;
     match t.trace with
     | Some tr ->
         Deut_obs.Trace.instant tr ~name:"prefetch_issue" ~cat:"cache"
           ~track:Deut_obs.Trace.track_cache
-          ~args:[ ("count", List.length accepted); ("first_pid", List.hd accepted) ]
+          ~args:[ ("count", n); ("first_pid", List.hd accepted) ]
           ();
         (* Per-page instants let the profiler reconcile issued pages with
            claimed ones without guessing the batch's membership. *)

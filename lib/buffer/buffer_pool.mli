@@ -14,10 +14,12 @@
       checkpoint-epoch bit (§3.2): dirtying stamps the current epoch;
       a checkpoint flips the epoch and flushes only frames dirtied in the
       previous one.
-    - {b Prefetch.}  [prefetch] groups contiguous pids into block reads
-      (up to [block_pages] per IO) and tracks them in-flight; a later [get]
-      that finds its page in flight stalls only until that IO's completion
-      — the mechanism behind Log2/SQL2.
+    - {b Prefetch.}  [prefetch] submits one asynchronous batch that the
+      disk serves as one run per [block_pages]-aligned extent (the paper's
+      8-page blocks): a run reads through the gaps between its wanted
+      pages and completes on its own.  A later [get] that finds its page
+      in flight stalls only until that page's run completes — the
+      mechanism behind Log2/SQL2.
 
     Timing: misses stall the shared clock on the data disk; hits are free
     (CPU costs are charged by the recovery drivers, not here). *)
@@ -120,18 +122,29 @@ val mark_dirty_dc : t -> pid:int -> dc_lsn:Deut_wal.Lsn.t -> event_lsn:Deut_wal.
     under a separate DC log, so Δ-record rLSNs stay in one domain). *)
 
 val prefetch : t -> ?lane:int -> int list -> unit
-(** Submit asynchronous reads for the pids not already cached or in flight,
-    coalescing contiguous runs into block IOs.  Never evicts pinned frames;
-    if the cache is too full to accept more in-flight pages, the remainder
-    of the list is dropped (prefetch is best-effort, as in the paper where
-    over-eager prefetch just causes page swaps).  [lane] (default 0) tags
-    the submitted pages with the issuing prefetch pipeline; parallel redo
-    gives each worker its own lane so per-worker windows can be gated
-    independently.  A page prefetched on any lane satisfies any [get]. *)
+(** Submit asynchronous reads for the pids not already cached or in flight
+    (each pid once) as one {!Deut_sim.Disk.submit_batch_read} batch with
+    extent [block_pages]: one run per extent, each pid tracked in flight
+    until its run's completion.  Only the wanted pages are installed on a
+    later [get]; gap pages a run reads through are dropped.  Never evicts
+    pinned frames; if the cache is too full to accept more in-flight pages,
+    the remainder of the list is dropped (prefetch is best-effort, as in
+    the paper where over-eager prefetch just causes page swaps).  [lane]
+    (default 0) tags the submitted pages with the issuing prefetch
+    pipeline; parallel redo gives each worker its own lane so per-worker
+    windows can be gated independently.  A page prefetched on any lane
+    satisfies any [get]. *)
 
 val in_flight_count : ?lane:int -> t -> int
 (** Pages submitted but not yet claimed; with [lane], only those issued by
-    that pipeline. *)
+    that pipeline.  These hold cache budget: [prefetch] admits at most
+    [capacity - size - in_flight_count] new pages. *)
+
+val pending_reads : t -> lane:int -> int
+(** Pages the [lane] pipeline submitted whose runs have not completed at
+    the current clock — the reads still occupying the device on its
+    behalf.  Pages already read but not yet claimed do not count.  O(1)
+    amortised: finished runs are retired from the front of a FIFO. *)
 
 val set_stall_track : t -> int option -> unit
 (** Override the trace lane for subsequent [stall] spans ([None] restores

@@ -58,7 +58,11 @@ let prefetch_source_of_string = function
 type t = {
   page_size : int;
   pool_pages : int;  (** cache capacity in pages *)
-  block_pages : int;  (** pages per prefetch block IO *)
+  block_pages : int;
+      (** extent size for recovery read-ahead, in pages (the paper's 8-page
+          blocks): a prefetcher that picks a DPT page also picks the other
+          DPT pages of its [block_pages]-aligned extent, and the disk reads
+          each extent's pages as one run *)
   data_disk : Deut_sim.Disk.params;
   log_disk : Deut_sim.Disk.params;
   delta_period : int;  (** updates between periodic Δ/BW-record emissions *)
@@ -73,7 +77,11 @@ type t = {
   checkpoint_mode : checkpoint_mode;
   cpu_op_us : float;  (** CPU cost charged per redo log record *)
   cpu_index_level_us : float;  (** extra CPU per B-tree level for logical redo *)
-  prefetch_window : int;  (** top up prefetch when in-flight drops below this *)
+  prefetch_window : int;
+      (** top up prefetch when fewer than this many of the pipeline's
+          prefetched pages are still being read (reads not yet completed;
+          pages read but not yet claimed do not count); 0 turns data
+          prefetch off *)
   prefetch_chunk : int;  (** pids submitted per top-up *)
   prefetch_lookahead : int;  (** SQL2 log read-ahead horizon, in records *)
   prefetch_source : prefetch_source;  (** Log2's data-prefetch driver (App. A.2) *)

@@ -157,43 +157,75 @@ let prefetch_order dc =
   | Config.Pf_list -> Dc.pf_list dc
   | Config.Dpt_order -> Array.of_list (Dpt.entries_by_rlsn (Dc.dpt dc))
 
+(* Extent read-ahead (the paper's 8-page blocks): the prefetcher's
+   candidate pids, fed by [iter], grouped by [block_pages]-aligned extent.
+   [take pid] hands out the other candidates of pid's extent the first time
+   the extent is asked for and [None] after that, so every extent is read
+   once, as one disk run, when the first of its pages comes up. *)
+let extent_reader pool iter =
+  let extent = Pool.block_pages pool in
+  let by_extent = Hashtbl.create 256 in
+  iter (fun pid ->
+      let e = pid / extent in
+      Hashtbl.replace by_extent e (pid :: Option.value (Hashtbl.find_opt by_extent e) ~default:[]));
+  fun pid ->
+    let e = pid / extent in
+    match Hashtbl.find_opt by_extent e with
+    | None -> None
+    | Some pids ->
+        Hashtbl.remove by_extent e;
+        Some (List.filter (fun p -> p <> pid) pids)
+
 (* Data-page prefetch driver for Log2 redo and the InstantLog2 drain: keep
-   the in-flight set topped up from [prefetch_order], skipping pids no
-   longer in the DPT. *)
+   the window of pending reads topped up from [prefetch_order], skipping
+   pids no longer in the DPT; each picked pid brings its extent's other
+   DPT pages from this lane's segment. *)
 let make_pf_prefetcher dc ~lane ~workers =
   let pf = prefetch_order dc in
   let pool = Dc.pool dc in
   let config = Dc.config dc in
+  let dpt = Dc.dpt dc in
   (* Each worker owns a contiguous segment of the PF list: segments keep
      the list's update-order locality, so per-worker batches still coalesce
      on the disk the way the single sequential pipeline's did. *)
   let len = Array.length pf in
-  let hi = len * (lane + 1) / workers in
-  let pos = ref (len * lane / workers) in
+  let lo = len * lane / workers and hi = len * (lane + 1) / workers in
+  let take =
+    extent_reader pool (fun add ->
+        for i = lo to hi - 1 do
+          if Dpt.mem dpt pf.(i) then add pf.(i)
+        done)
+  in
+  let pos = ref lo in
   fun () ->
-    if Pool.in_flight_count ~lane pool < config.Config.prefetch_window then begin
+    if !pos < hi && Pool.pending_reads pool ~lane < config.Config.prefetch_window then begin
       let chunk = ref [] in
       let picked = ref 0 in
       while !picked < config.Config.prefetch_chunk && !pos < hi do
         let pid = pf.(!pos) in
         incr pos;
-        if Dpt.mem (Dc.dpt dc) pid then begin
-          chunk := pid :: !chunk;
-          incr picked
-        end
+        if Dpt.mem dpt pid then
+          match take pid with
+          | Some siblings ->
+              chunk := List.rev_append (pid :: siblings) !chunk;
+              picked := !picked + 1 + List.length siblings
+          | None -> ()
       done;
       if !chunk <> [] then Pool.prefetch pool ~lane (List.rev !chunk)
     end
 
 (* Log-driven prefetch for SQL2 (Appendix A.2): examine records ahead of
-   the redo cursor; pids that pass the DPT/rLSN test are prefetched.
+   the redo cursor; pids that pass the DPT/rLSN test are prefetched, each
+   with its extent's other DPT pages the first time the extent comes up.
    [owns] restricts the window to the records this worker will replay. *)
 let make_log_prefetcher dc ~lane ?owns (records : (Lsn.t * Lr.t) array) =
   let pool = Dc.pool dc in
   let config = Dc.config dc in
+  let dpt = Dc.dpt dc in
+  let take = extent_reader pool (fun add -> Dpt.iter dpt (fun pid ~rlsn:_ ~last_lsn:_ -> add pid)) in
   let ahead = ref 0 in
   fun current_index ->
-    if Pool.in_flight_count ~lane pool < config.Config.prefetch_window then begin
+    if Pool.pending_reads pool ~lane < config.Config.prefetch_window then begin
       if !ahead <= current_index then ahead := current_index + 1;
       let horizon = min (Array.length records) (current_index + config.Config.prefetch_lookahead) in
       let chunk = ref [] in
@@ -205,10 +237,12 @@ let make_log_prefetcher dc ~lane ?owns (records : (Lsn.t * Lr.t) array) =
         if match owns with None -> true | Some f -> f i then
           match Lr.redo_view record with
           | Some view -> (
-              match Dpt.find (Dc.dpt dc) view.Lr.rv_pid with
+              let pid = view.Lr.rv_pid in
+              match Dpt.find dpt pid with
               | Some (rlsn, _) when lsn >= rlsn ->
-                  chunk := view.Lr.rv_pid :: !chunk;
-                  incr picked
+                  let siblings = Option.value (take pid) ~default:[] in
+                  chunk := List.rev_append (pid :: siblings) !chunk;
+                  picked := !picked + 1 + List.length siblings
               | Some _ | None -> ())
           | None -> ()
       done;
@@ -1113,7 +1147,7 @@ let recover ?config ?undo_fault_after_clrs image method_ =
   | InstantLog2 ->
       (* The offline-equivalent form: open, then drain fully before any
          client work — the determinism gate that pins InstantLog2's final
-         state to Log2's, byte for byte. *)
+         logical contents to Log2's. *)
       let sess = recover_instant ?config ?undo_fault_after_clrs image in
       let stats = instant_finish sess in
       (sess.i_engine, stats)

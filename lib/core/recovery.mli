@@ -17,8 +17,11 @@
       each page's slice of the redo range replays on first touch (a
       buffer-pool fault hook), with a background drain covering the rest.
       Through {!recover} the drain completes before the engine is
-      returned, making the result byte-identical to [Log2]; the staged
-      {!recover_instant} API exposes the open-while-redoing form.
+      returned, leaving the same logical contents as [Log2] (an identical
+      logical digest, DESIGN.md §9).  The store bytes may differ: its CLRs
+      can land at other LSNs than Log2's, so the pLSN headers of the pages
+      losers touched differ.  The staged {!recover_instant} API exposes
+      the open-while-redoing form.
 
     All methods run from deep copies of the same crash image, finish with
     the same logical undo pass, and report {!Recovery_stats}. *)

@@ -122,31 +122,39 @@ let submit_sequential_write t ~first_pid ~count =
     ~args:[ ("first_pid", first_pid); ("count", count) ];
   completion
 
-let submit_batch_read t pids =
-  match List.sort Int.compare pids with
-  | [] -> busy_until t
-  | sorted ->
-      let start = Float.max t.free_at (Clock.now t.clock) in
-      let batch_seek = t.params.seek_us *. t.params.batch_seek_factor in
-      let service = ref 0.0 in
-      let prev_end = ref t.head_pos in
-      List.iter
-        (fun pid ->
-          let sequential = abs (pid - !prev_end) <= t.params.sequential_gap in
-          service := !service +. (if sequential then 0.0 else batch_seek) +. t.params.transfer_us;
-          if sequential then
-            t.counters.sequential_requests <- t.counters.sequential_requests + 1
-          else t.counters.seeks <- t.counters.seeks + 1;
-          prev_end := pid + 1)
-        sorted;
-      let completion = start +. !service in
-      t.free_at <- completion;
-      t.head_pos <- !prev_end;
+type run = { first_pid : int; last_pid : int; completion : float }
+
+let submit_batch_read t ~extent pids =
+  let batch_seek = t.params.seek_us *. t.params.batch_seek_factor in
+  (* Serve one run [first..last] after the previous one: a batch seek
+     unless it continues where the head stopped, then a transfer of every
+     page in the span, wanted or not. *)
+  let serve first last =
+    let start = busy_until t in
+    let sequential = abs (first - t.head_pos) <= t.params.sequential_gap in
+    let count = last - first + 1 in
+    let completion =
+      start +. (if sequential then 0.0 else batch_seek) +. (float_of_int count *. t.params.transfer_us)
+    in
+    if sequential then t.counters.sequential_requests <- t.counters.sequential_requests + 1
+    else t.counters.seeks <- t.counters.seeks + 1;
+    t.counters.pages_read <- t.counters.pages_read + count;
+    t.head_pos <- last + 1;
+    t.free_at <- completion;
+    note t ~ev:"io_batch" ~start ~completion ~args:[ ("first_pid", first); ("count", count) ];
+    { first_pid = first; last_pid = last; completion }
+  in
+  let rec runs acc first last = function
+    | pid :: rest when pid / extent = first / extent -> runs acc first pid rest
+    | rest -> (
+        let acc = serve first last :: acc in
+        match rest with [] -> List.rev acc | pid :: rest -> runs acc pid pid rest)
+  in
+  match List.sort_uniq Int.compare pids with
+  | [] -> []
+  | first :: rest ->
       t.counters.requests <- t.counters.requests + 1;
-      t.counters.pages_read <- t.counters.pages_read + List.length sorted;
-      note t ~ev:"io_batch" ~start ~completion
-        ~args:[ ("first_pid", List.hd sorted); ("count", List.length sorted) ];
-      completion
+      runs [] first first rest
 
 let read_sync t ~pid = Clock.advance_to t.clock (submit_read t ~pid)
 

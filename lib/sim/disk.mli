@@ -42,7 +42,8 @@ val create : ?params:params -> Clock.t -> t
 val instrument :
   t -> ?trace:Deut_obs.Trace.t -> ?io_hist:Deut_obs.Metrics.histogram -> track:int -> unit -> unit
 (** Attach observability sinks.  Every serviced request is recorded as a
-    span ([io_read] / [io_write] / [io_block] / [io_batch] / [io_log]) on
+    span ([io_read] / [io_write] / [io_block] / [io_batch] per batch run /
+    [io_log]) on
     [track] covering service time, and its latency is fed to [io_hist].
     Purely observational: submission timing is unchanged. *)
 
@@ -63,11 +64,20 @@ val submit_block_read : t -> first_pid:int -> count:int -> float
 (** Queue a read of [count] contiguous pages as a single request (the
     paper's 8-page block read-ahead); returns its completion time. *)
 
-val submit_batch_read : t -> int list -> float
+type run = { first_pid : int; last_pid : int; completion : float }
+(** One contiguous stretch of a batch read: pages [first_pid..last_pid],
+    all transferred, ready at [completion]. *)
+
+val submit_batch_read : t -> extent:int -> int list -> run list
 (** Queue one asynchronous batch of (not necessarily contiguous) page
-    reads.  The batch is served in sorted order: contiguous neighbours pay
-    transfer only; jumps pay [batch_seek_factor × seek_us].  Returns the
-    completion time of the whole batch. *)
+    reads.  The batch is served in sorted order as one run per
+    [extent]-aligned group of pids ([extent = 1]: one run per page): a run
+    reads through the gaps between its wanted pages, pays
+    [batch_seek_factor × seek_us] once unless it starts where the head
+    stopped, and completes on its own.  Duplicates are read once.  Returns
+    the runs in service order — completions never decrease, and the last
+    one is the batch's end; [\[\]] for an empty batch, which queues
+    nothing. *)
 
 val submit_write : t -> pid:int -> float
 (** Queue a one-page write (used by cache flushes); returns completion

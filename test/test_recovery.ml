@@ -414,14 +414,17 @@ let test_pf_list_permutes_dpt () =
         pf)
     [ Config.Standard; Config.Perfect; Config.Reduced ]
 
+let long_log_run =
+  lazy
+    (Experiment.build (Experiment.paper_setup ~scale:512 ~cache_mb:2048 ~ckpt_multiplier:10 ()))
+
 (* A crash whose DPT fits in cache under a 10x checkpoint interval (the
    paper's large-cache, long-log corner, at 1/512 scale): the PF list must
    lead nearly every data read of Log2, and the staged InstantLog2 drain —
    same prefetcher, lazy writer deferred — must write no data page before
    [instant_finish] and end close to offline Log2. *)
 let test_prefetch_coverage_and_drain_parity () =
-  let setup = Experiment.paper_setup ~scale:512 ~cache_mb:2048 ~ckpt_multiplier:10 () in
-  let run = Experiment.build setup in
+  let run = Lazy.force long_log_run in
   let image = run.Experiment.image in
   let verify what db =
     match Driver.verify_recovered run.Experiment.driver db with
@@ -447,6 +450,65 @@ let test_prefetch_coverage_and_drain_parity () =
   let drained = Recovery_stats.drained_ms si and log2 = Recovery_stats.total_ms s2 in
   if drained > 1.1 *. log2 then
     Alcotest.failf "drain took %.1f ms, offline Log2 %.1f ms (> 1.1x)" drained log2
+
+(* Extent read-ahead on the same long-log crash: Log2 reads the DPT one
+   [block_pages] extent per disk run, so its data seeks are bounded by the
+   DPT's distinct extents (plus its index fetches and demand misses), and its
+   prefetcher still leads nearly every data fetch — pages pulled early as
+   extent siblings wait unclaimed without holding the window shut.  Both
+   prefetchers stay timing-only: with prefetch off, Log2 and SQL2 leave the
+   same store bytes and apply the same records. *)
+let test_extent_read_ahead () =
+  let run = Lazy.force long_log_run in
+  let image = run.Experiment.image in
+  (* One prefetch pipeline: with parallel redo each worker's lane takes
+     siblings from its own PF segment only, so an extent can be split
+     across lanes and the seek bound below is the single-lane one. *)
+  let config = { (Crash_image.config image) with Config.redo_workers = 1 } in
+  let dpt_extents =
+    let engine = Crash_image.instantiate image in
+    let dc = engine.Engine.dc in
+    let bckpt = Crash_image.master image in
+    Dc.dc_recovery dc ~log:engine.Engine.log ~from:bckpt ~bckpt ~build_dpt:true
+      ~stats:(Recovery_stats.create ());
+    let extents = Hashtbl.create 64 in
+    Dpt.iter (Dc.dpt dc) (fun pid ~rlsn:_ ~last_lsn:_ ->
+        Hashtbl.replace extents (pid / config.Config.block_pages) ());
+    Hashtbl.length extents
+  in
+  let recover ?(config = config) m =
+    let db, stats = Db.recover ~config image m in
+    (* Read before verification, which scans the whole store. *)
+    let seeks = (Deut_sim.Disk.counters (Db.engine db).Engine.data_disk).Deut_sim.Disk.seeks in
+    (match Driver.verify_recovered run.Experiment.driver db with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "%s: %s" (Recovery.method_to_string m) msg);
+    (Experiment.store_digest db, stats, seeks)
+  in
+  let d2, s2, seeks = recover Recovery.Log2 in
+  let fetches = s2.Recovery_stats.data_page_fetches in
+  let index = s2.Recovery_stats.index_page_fetches in
+  (* Pages outside the DPT (records past the last Δ record) are demand
+     reads, one seek each. *)
+  let misses = fetches + index - s2.Recovery_stats.prefetch_hits in
+  if seeks > dpt_extents + index + misses then
+    Alcotest.failf "Log2 paid %d data seeks for %d DPT extents + %d index fetches + %d misses"
+      seeks dpt_extents index misses;
+  let led = s2.Recovery_stats.prefetch_hits - index in
+  if 10 * led < 9 * fetches then
+    Alcotest.failf "prefetch led %d of %d data fetches (< 90%%)" led fetches;
+  let ds, ss, _ = recover Recovery.Sql2 in
+  check "Log2 and SQL2 stores byte-identical" true (d2 = ds);
+  let off = { config with Config.prefetch_window = 0 } in
+  let d2', s2', _ = recover ~config:off Recovery.Log2 in
+  let ds', ss', _ = recover ~config:off Recovery.Sql2 in
+  check "window 0 turns data prefetch off" true (s2'.Recovery_stats.prefetch_issued <= index);
+  check "Log2 store unchanged by prefetch" true (d2 = d2');
+  check "SQL2 store unchanged by prefetch" true (ds = ds');
+  check_int "Log2 applies unchanged by prefetch" s2'.Recovery_stats.redo_applied
+    s2.Recovery_stats.redo_applied;
+  check_int "SQL2 applies unchanged by prefetch" ss'.Recovery_stats.redo_applied
+    ss.Recovery_stats.redo_applied
 
 let test_crash_during_undo () =
   (* The ARIES CLR discipline: crash in the middle of the undo pass, then
@@ -622,6 +684,7 @@ let suite =
     Alcotest.test_case "PF list is a permutation of the DPT" `Quick test_pf_list_permutes_dpt;
     Alcotest.test_case "prefetch coverage and drain parity" `Quick
       test_prefetch_coverage_and_drain_parity;
+    Alcotest.test_case "extent read-ahead" `Quick test_extent_read_ahead;
     Alcotest.test_case "crash during undo (CLR resumption)" `Quick test_crash_during_undo;
     Alcotest.test_case "stats accounting" `Quick test_stats_accounting_consistent;
     Alcotest.test_case "stats reset between runs" `Quick test_stats_reset_between_runs;

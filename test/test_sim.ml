@@ -152,17 +152,95 @@ let test_disk_block_read () =
   check_float "one seek, eight transfers" 1800.0 c;
   check_int "counted" 8 (Disk.counters d).Disk.pages_read
 
+let batch_end runs = (List.nth runs (List.length runs - 1)).Disk.completion
+
 let test_disk_batch_read () =
   let clock = Clock.create () in
   let d = Disk.create ~params clock in
   (* Unsorted input; contiguous pairs coalesce after sorting. *)
-  let c = Disk.submit_batch_read d [ 101; 40; 100; 300 ] in
+  let c = batch_end (Disk.submit_batch_read d ~extent:1 [ 101; 40; 100; 300 ]) in
   (* Sorted: 40 (batch seek), 100 (batch seek), 101 (sequential), 300
      (batch seek): 3 × 500 + 4 × 100 = 1900. *)
   check_float "elevator-order service" 1900.0 c;
   check_int "batch pages" 4 (Disk.counters d).Disk.pages_read;
-  let idle = Disk.submit_batch_read d [] in
-  check_float "empty batch completes immediately" (Disk.busy_until d) idle
+  let busy = Disk.busy_until d in
+  check "empty batch submits nothing" true (Disk.submit_batch_read d ~extent:1 [] = []);
+  check_float "empty batch leaves the queue alone" busy (Disk.busy_until d)
+
+(* Extent runs: the wanted pages of one 8-page extent are one run that
+   reads through the gap between them — one batch seek plus the span's
+   transfer, not one seek per page. *)
+let test_disk_extent_run () =
+  let clock = Clock.create () in
+  let d = Disk.create ~params clock in
+  let runs = Disk.submit_batch_read d ~extent:8 [ 22; 17 ] in
+  check_int "one run" 1 (List.length runs);
+  (* 17..22: 500 seek + 6 × 100 transfer. *)
+  check_float "one seek plus the span" 1100.0 (batch_end runs);
+  let c = Disk.counters d in
+  check_int "one seek" 1 c.Disk.seeks;
+  check_int "gap pages are read" 6 c.Disk.pages_read
+
+let test_disk_extent_boundary () =
+  let clock = Clock.create () in
+  let d = Disk.create ~params clock in
+  (* 21 and 26 sit in neighbouring extents: two runs, no read-through of
+     22..25, two seeks. *)
+  let runs = Disk.submit_batch_read d ~extent:8 [ 26; 21 ] in
+  check_int "two runs" 2 (List.length runs);
+  check_float "two seeks, two pages" 1200.0 (batch_end runs);
+  check_int "seeks" 2 (Disk.counters d).Disk.seeks;
+  check_int "no read-through across extents" 2 (Disk.counters d).Disk.pages_read;
+  (* 31 | 32 straddle a boundary but are sequential: the second run pays no
+     seek. *)
+  Disk.reset_counters d;
+  let runs = Disk.submit_batch_read d ~extent:8 [ 32; 31 ] in
+  check_int "still two runs" 2 (List.length runs);
+  check_float "sequential across the boundary" (1200.0 +. 500.0 +. 200.0) (batch_end runs);
+  check_int "one seek" 1 (Disk.counters d).Disk.seeks;
+  check_int "one sequential continuation" 1 (Disk.counters d).Disk.sequential_requests
+
+let test_disk_extent_completions () =
+  let clock = Clock.create () in
+  let d = Disk.create ~params clock in
+  let rng = Rng.create ~seed:7 in
+  for round = 1 to 50 do
+    let pids = List.init (1 + Rng.int rng 20) (fun _ -> Rng.int rng 200) in
+    let runs = Disk.submit_batch_read d ~extent:8 pids in
+    let last = batch_end runs in
+    check_float "the last run ends the batch" (Disk.busy_until d) last;
+    ignore
+      (List.fold_left
+         (fun prev (r : Disk.run) ->
+           if r.Disk.completion < prev then Alcotest.failf "round %d: completion decreased" round;
+           if r.Disk.completion > last then Alcotest.failf "round %d: run after batch end" round;
+           if r.Disk.first_pid / 8 <> r.Disk.last_pid / 8 then
+             Alcotest.failf "round %d: run spans extents" round;
+           r.Disk.completion)
+         0.0 runs);
+    List.iter
+      (fun pid ->
+        if not (List.exists (fun r -> r.Disk.first_pid <= pid && pid <= r.Disk.last_pid) runs)
+        then Alcotest.failf "round %d: pid %d not covered" round pid)
+      pids;
+    (* Let some batches find the device idle, others queue behind. *)
+    if round mod 3 = 0 then Disk.drain d
+  done
+
+(* A batch at an idle device pays the batch seek for its first run, as the
+   page-by-page batch always has — not the cold seek of a demand read or a
+   block read. *)
+let test_disk_extent_idle_seek () =
+  let clock = Clock.create () in
+  let d = Disk.create ~params clock in
+  Clock.advance clock 5000.0;
+  let runs = Disk.submit_batch_read d ~extent:8 [ 100; 103 ] in
+  check_float "batch seek, then 100..103" (5000.0 +. 500.0 +. 400.0)
+    (List.hd runs).Disk.completion;
+  let d2 = Disk.create ~params clock in
+  check_float "page-by-page batch at the same idle device"
+    (5000.0 +. 500.0 +. 100.0)
+    (batch_end (Disk.submit_batch_read d2 ~extent:1 [ 100 ]))
 
 let test_disk_write_delays_read () =
   let clock = Clock.create () in
@@ -201,5 +279,9 @@ let suite =
     Alcotest.test_case "disk async queueing" `Quick test_disk_async_queueing;
     Alcotest.test_case "disk block read" `Quick test_disk_block_read;
     Alcotest.test_case "disk batch read" `Quick test_disk_batch_read;
+    Alcotest.test_case "disk extent run reads through gaps" `Quick test_disk_extent_run;
+    Alcotest.test_case "disk extent boundary" `Quick test_disk_extent_boundary;
+    Alcotest.test_case "disk extent run completions" `Quick test_disk_extent_completions;
+    Alcotest.test_case "disk extent idle seek" `Quick test_disk_extent_idle_seek;
     Alcotest.test_case "disk write delays read" `Quick test_disk_write_delays_read;
   ]
