@@ -23,10 +23,10 @@ let scale =
 
 let quick = Sys.getenv_opt "DEUT_QUICK" <> None
 
-(* Real OS-level parallelism for the DOMAINS section: DEUT_DOMAINS when
-   set above 1, else as many of the machine's cores as the section can
-   use (capped at 4 — the sweep it times has that much width).  Every
-   other section honours DEUT_DOMAINS through [Config.default]. *)
+(* Real OS-level parallelism for the DOMAINS section's domain-parallel
+   redo: DEUT_DOMAINS when set above 1, else as many of the machine's
+   cores as it can use, capped at 4.  Every other section runs its cells
+   sequentially on one domain. *)
 let bench_domains =
   let d = Config.default.Config.domains in
   if d > 1 then d else Stdlib.min 4 (Deut_sim.Domain_pool.available_cores ())
@@ -81,12 +81,8 @@ let json_escape s =
 (* The DOMAINS section's measurements, emitted as their own JSON block. *)
 type domains_summary = {
   d_requested : int;  (* DEUT_DOMAINS as configured (1 when unset) *)
-  d_used : int;  (* domains the parallel sweep actually ran on *)
+  d_used : int;  (* domains the parallel redo actually ran on *)
   d_cores : int;  (* Domain.recommended_domain_count at run time *)
-  d_seq_wall_s : float;
-  d_par_wall_s : float;
-  d_digests_identical : bool;
-  d_redo_domains : int;
   d_redo_seq_wall_s : float;
   d_redo_par_wall_s : float;
   d_redo_identical : bool;
@@ -170,12 +166,7 @@ let write_bench_json ~total_wall_s ~(archiving : Figures.archiving_cell list)
   add "    \"requested\": %d,\n" d.d_requested;
   add "    \"used\": %d,\n" d.d_used;
   add "    \"cores_available\": %d,\n" d.d_cores;
-  add "    \"harness_seq_wall_s\": %.3f,\n" d.d_seq_wall_s;
-  add "    \"harness_par_wall_s\": %.3f,\n" d.d_par_wall_s;
-  add "    \"harness_speedup\": %.2f,\n"
-    (if d.d_par_wall_s > 0.0 then d.d_seq_wall_s /. d.d_par_wall_s else 0.0);
-  add "    \"harness_digests_identical\": %b,\n" d.d_digests_identical;
-  add "    \"redo_domains\": %d,\n" d.d_redo_domains;
+  add "    \"redo_domains\": %d,\n" d.d_used;
   add "    \"redo_seq_wall_s\": %.3f,\n" d.d_redo_seq_wall_s;
   add "    \"redo_par_wall_s\": %.3f,\n" d.d_redo_par_wall_s;
   add "    \"redo_digest_identical\": %b\n" d.d_redo_identical;
@@ -270,39 +261,15 @@ let () =
   section "PARALLEL REDO";
   print_string (Figures.workers_table workers_cells);
 
-  (* Real multicore: the same sweep run sequentially and fanned across
-     OS-level domains.  Simulated results and digests must be identical
-     (the determinism gate — the run aborts otherwise); only wall clock
-     may differ.  Fresh caches on both sides so the parallel run cannot
-     coast on the sequential run's builds. *)
-  let domains_cache_sizes = if quick then [ 64; 128 ] else [ 64; 128; 256; 512 ] in
+  (* Real multicore: one crash image recovered with Log2 by the reference
+     scheduler and by domain-parallel redo partitions.  Digests must be
+     identical (the determinism gate — the run aborts otherwise). *)
   let domains_summary =
     timed_section "domains" (fun () ->
         progress
-          (Printf.sprintf "domains: sweep at 1 then %d domain(s), %d core(s) available"
+          (Printf.sprintf "domains: Log2 redo at 1 then %d domain(s), %d core(s) available"
              bench_domains
              (Deut_sim.Domain_pool.available_cores ()));
-        let sweep domains =
-          let cache = Experiment.build_cache () in
-          let t0 = Unix.gettimeofday () in
-          let cells =
-            Figures.run_fig2 ~cache ~scale ~cache_sizes:domains_cache_sizes ~progress ~domains ()
-          in
-          Experiment.drop_cache cache;
-          (cells, Unix.gettimeofday () -. t0)
-        in
-        let seq_cells, seq_wall = sweep 1 in
-        let par_cells, par_wall = sweep bench_domains in
-        let digests_identical =
-          List.for_all2
-            (fun (a : Figures.fig2_cell) (b : Figures.fig2_cell) ->
-              a.Figures.digests = b.Figures.digests)
-            seq_cells par_cells
-        in
-        if not digests_identical then
-          failwith "DOMAINS: harness digests diverged between 1 domain and the parallel sweep";
-        (* Domain-parallel redo on one image: the same recovery executed by
-           the reference scheduler and by real partitions. *)
         let setup = Experiment.paper_setup ~scale ~cache_mb:256 () in
         let run = Experiment.build setup in
         let redo domains =
@@ -323,10 +290,6 @@ let () =
           d_requested = Config.default.Config.domains;
           d_used = bench_domains;
           d_cores = Deut_sim.Domain_pool.available_cores ();
-          d_seq_wall_s = seq_wall;
-          d_par_wall_s = par_wall;
-          d_digests_identical = digests_identical;
-          d_redo_domains = bench_domains;
           d_redo_seq_wall_s = redo_seq_wall;
           d_redo_par_wall_s = redo_par_wall;
           d_redo_identical = redo_identical;
@@ -335,17 +298,12 @@ let () =
   section "DOMAINS (real multicore)";
   Printf.printf
     "  cores available: %d, domains used: %d (DEUT_DOMAINS=%d)\n\
-    \  harness sweep:   %.2f s sequential -> %.2f s parallel (%.2fx), digests identical: %b\n\
     \  Log2 redo:       %.2f s at 1 domain -> %.2f s at %d domains, digest identical: %b\n\
-    \  (simulated times and digests are byte-identical by construction;\n\
-    \   wall-clock speedup tracks the machine's real core count)\n"
+    \  (digests and apply counts are identical at every domain count; simulated\n\
+    \   redo time is not, and wall-clock speedup tracks the machine's real core count)\n"
     domains_summary.d_cores domains_summary.d_used domains_summary.d_requested
-    domains_summary.d_seq_wall_s domains_summary.d_par_wall_s
-    (if domains_summary.d_par_wall_s > 0.0 then
-       domains_summary.d_seq_wall_s /. domains_summary.d_par_wall_s
-     else 0.0)
-    domains_summary.d_digests_identical domains_summary.d_redo_seq_wall_s
-    domains_summary.d_redo_par_wall_s domains_summary.d_redo_domains
+    domains_summary.d_redo_seq_wall_s
+    domains_summary.d_redo_par_wall_s domains_summary.d_used
     domains_summary.d_redo_identical;
 
   (* Concurrency: simulated clients sharing the engine during normal

@@ -662,20 +662,10 @@ let domains_cmd =
       & opt (some int) None
       & info [ "d"; "domains" ] ~docv:"N"
           ~doc:
-            "Domains for the parallel run (default: DEUT_DOMAINS when set above 1, else \
+            "Domains for the parallel redo (default: DEUT_DOMAINS when set above 1, else \
              min(4, available cores)).")
   in
-  let min_speedup_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "min-speedup" ] ~docv:"R"
-          ~doc:
-            "Gate: fail (exit 1) unless the parallel sweep finishes at least $(docv)x \
-             faster than the sequential one.  Wall-clock speedup tracks the machine's \
-             real core count — only gate on hardware with enough idle cores.")
-  in
-  let run scale cache_sizes domains min_speedup =
+  let run scale cache_sizes domains =
     let domains =
       match domains with
       | Some d when d >= 1 -> d
@@ -685,26 +675,7 @@ let domains_cmd =
     in
     let cores = Deut_sim.Domain_pool.available_cores () in
     progress
-      (Printf.sprintf "sweep at 1 then %d domain(s); %d core(s) available" domains cores);
-    (* Fresh caches on both sides so the parallel run cannot coast on the
-       sequential run's builds. *)
-    let sweep d =
-      let cache = Experiment.build_cache () in
-      let t0 = Unix.gettimeofday () in
-      let cells = Figures.run_fig2 ~cache ~scale ~cache_sizes ~progress ~domains:d () in
-      (cells, Unix.gettimeofday () -. t0)
-    in
-    let seq_cells, seq_wall = sweep 1 in
-    let par_cells, par_wall = sweep domains in
-    List.iter2
-      (fun (a : Figures.fig2_cell) (b : Figures.fig2_cell) ->
-        if a.Figures.digests <> b.Figures.digests then begin
-          Printf.eprintf
-            "FAIL: determinism gate — digests diverged at %d MB between 1 and %d domains\n"
-            a.Figures.cache_mb domains;
-          exit 1
-        end)
-      seq_cells par_cells;
+      (Printf.sprintf "Log2 redo at 1 then %d domain(s); %d core(s) available" domains cores);
     (* Domain-parallel redo on one image: the reference scheduler against
        real partitions at every partition count. *)
     let cache_mb = List.fold_left Stdlib.max 64 cache_sizes in
@@ -716,10 +687,10 @@ let domains_cmd =
       in
       let t0 = Unix.gettimeofday () in
       let db, _stats = Db.recover ~config crash.Experiment.image Recovery.Log2 in
+      let wall = Unix.gettimeofday () -. t0 in
       (match Driver.verify_recovered crash.Experiment.driver db with
       | Ok () -> ()
       | Error msg -> failwith (Printf.sprintf "Log2 at %d domains: wrong state: %s" d msg));
-      let wall = Unix.gettimeofday () -. t0 in
       (Experiment.store_digest db, Deut_workload.Client_sched.logical_digest db, wall)
     in
     let s1, l1, redo_seq_wall = redo 1 in
@@ -734,18 +705,11 @@ let domains_cmd =
           exit 1
         end)
       (List.sort_uniq compare [ 2; 4; 8; domains ]);
-    let speedup = if par_wall > 0.0 then seq_wall /. par_wall else 0.0 in
     print_string
-      (Report.table ~title:"Real multicore — identical results, wall clock only"
-         ~header:[ "measure"; "sequential"; Printf.sprintf "%d domains" domains; "speedup" ]
+      (Report.table ~title:"Real multicore — domain-parallel Log2 redo, wall clock"
+         ~header:[ "measure"; "1 domain"; Printf.sprintf "%d domains" domains; "speedup" ]
          ~rows:
            [
-             [
-               "fig2 sweep (s)";
-               Printf.sprintf "%.2f" seq_wall;
-               Printf.sprintf "%.2f" par_wall;
-               Printf.sprintf "%.2fx" speedup;
-             ];
              [
                "Log2 redo (s)";
                Printf.sprintf "%.2f" redo_seq_wall;
@@ -757,28 +721,19 @@ let domains_cmd =
            ]
          ());
     Printf.printf
-      "determinism gate OK: digests byte-identical at 1 and %d domains (harness) and at \
-       every redo partition count; %d core(s) available\n"
-      domains cores;
-    match min_speedup with
-    | None -> ()
-    | Some r ->
-        if speedup < r then begin
-          Printf.eprintf "FAIL: domains gate — %.2fx, need >= %.2fx (%d cores available)\n"
-            speedup r cores;
-          exit 1
-        end;
-        Printf.printf "domains gate OK: %.2fx (need >= %.2fx)\n" speedup r
+      "determinism gate OK: digests byte-identical at every redo partition count; %d \
+       core(s) available\n"
+      cores
   in
   Cmd.v
     (Cmd.info "domains"
        ~doc:
-         "Real-multicore determinism and speedup check: run the Figure-2 sweep \
-          sequentially and fanned across OS-level domains, prove every cell's store and \
-          logical digests byte-identical, then recover one image with domain-parallel \
-          redo at every partition count and prove the same.  With $(b,--min-speedup), \
-          gates on the harness wall-clock win.")
-    Term.(const run $ scale_arg $ cache_sizes_arg $ domains_arg $ min_speedup_arg)
+         "Real-multicore determinism check: recover one image (built at the largest of \
+          $(b,--cache-sizes)) with Log2 at 1 domain and with domain-parallel redo at \
+          2, 4, 8 and $(b,-d) partitions, and prove the store and logical digests \
+          byte-identical at every count.  Reports the wall-clock redo time at 1 and \
+          $(b,-d) domains.")
+    Term.(const run $ scale_arg $ cache_sizes_arg $ domains_arg)
 
 let metrics_cmd =
   let run scale cache method_ =

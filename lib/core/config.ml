@@ -157,15 +157,15 @@ type t = {
           Defaults from the [DEUT_SHARDS] environment variable when
           set. *)
   domains : int;
-      (** real OS-level parallelism: the number of OCaml domains the bench
-          harness fans method × cache cells across, and that recovery uses
-          to execute page-disjoint redo partitions on real cores (1 = the
-          single-domain reference scheduler).  Recovered state (store and
-          logical digests) and apply counts are byte-identical at any
-          domain count — the tier-1 determinism gate enforces it; simulated
-          IO accounting and phase times reflect the parallel schedule, the
-          way they already vary with [redo_workers].  Defaults from the
-          [DEUT_DOMAINS] environment variable when set. *)
+      (** real OS-level parallelism: the number of OCaml domains that
+          recovery uses to execute page-disjoint redo partitions on real
+          cores (1 = the single-domain reference scheduler).  Recovered
+          state (store and logical digests) and apply counts are
+          byte-identical at any domain count — the tier-1 determinism gate
+          enforces it; simulated IO accounting and phase times (redo time
+          included) reflect the parallel schedule, the way they already
+          vary with [redo_workers].  Defaults from the [DEUT_DOMAINS]
+          environment variable when set. *)
   net : bool;
       (** route TC↔DC messages over simulated network links
           ({!Deut_net.Link}) with the [net_*] cost model below; off by

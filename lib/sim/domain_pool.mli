@@ -4,8 +4,8 @@
     everything else (redo workers, clients, shards) multiplexes simulated
     timelines onto one OS thread.  Tasks given to [map] must therefore
     share no mutable state — in practice each task owns a whole engine
-    (built from a [scaled] setup or instantiated from an immutable crash
-    image), so all instrumentation and clocks are domain-private.
+    instantiated from an immutable crash image (a domain-parallel redo
+    partition), so all instrumentation and clocks are domain-private.
 
     Determinism contract: [map] preserves input order in its result list
     and re-raises the first task failure in input order, so outcomes are

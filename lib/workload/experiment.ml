@@ -38,10 +38,10 @@ let paper_setup ?(scale = 32) ?(ckpt_multiplier = 1) ?(dpt_mode = Config.Standar
       checkpoint_mode;
       (* The paper's experiment is a single data component; callers that
          want a sharded cell (Figures.run_sharding) override this.  Real
-         domains likewise: DEUT_DOMAINS parallelises the harness *across*
-         cells, so the cell itself pins [domains = 1] and its simulated
-         numbers are byte-identical at any domain count — callers that
-         want domain-parallel redo inside a recovery override it. *)
+         domains likewise: domain-parallel redo changes simulated redo
+         time, so a cell pins [domains = 1] and its numbers do not depend
+         on DEUT_DOMAINS — callers that want domain-parallel redo inside a
+         recovery override it. *)
       shards = 1;
       domains = 1;
       seed = 42 + cache_mb;
@@ -95,34 +95,15 @@ type crash_run = {
    the 512 MB Figure 2 cell, the 1x Figure 3 cell, and the standard-Δ
    ablation row), and each build costs real seconds at small scales.  The
    cached [crash_run] is safe to share: recoveries instantiate fresh store
-   and log copies from the image, and verification only reads the (sealed)
-   oracle.
-
-   The cache is the one structure the domain-parallel harness shares
-   between cells, so it is a monitor: a mutex guards the table, and a
-   [Building] marker parks later requesters of the same setup on a
-   condition variable instead of letting them duplicate a multi-second
-   build.  An LRU list bounds retained crash images ([max_entries]);
-   in-flight builds are never evicted. *)
-type cache_entry = Built of crash_run | Building
-
+   and log copies from the image, and verification only reads the oracle.
+   An LRU list bounds retained crash images to [max_entries]. *)
 type build_cache = {
-  mutex : Mutex.t;
-  cond : Condition.t;
-  entries : (scaled, cache_entry) Hashtbl.t;
-  mutable lru : scaled list;  (* [Built] keys, most recently used first *)
-  max_entries : int;
+  entries : (scaled, crash_run) Hashtbl.t;
+  mutable lru : scaled list;  (* most recently used first *)
 }
 
-let build_cache ?(max_entries = 16) () : build_cache =
-  if max_entries < 1 then invalid_arg "Experiment.build_cache: max_entries must be >= 1";
-  {
-    mutex = Mutex.create ();
-    cond = Condition.create ();
-    entries = Hashtbl.create 8;
-    lru = [];
-    max_entries;
-  }
+let max_entries = 16
+let build_cache () : build_cache = { entries = Hashtbl.create 8; lru = [] }
 
 let build_uncached scaled =
   let driver = Driver.create ~config:scaled.config scaled.spec in
@@ -140,83 +121,44 @@ let build_uncached scaled =
   let bws_total = Db.bws_written database in
   let delta_bytes = Db.delta_bytes database in
   let bw_bytes = Db.bw_bytes database in
-  let run =
-    {
-      image = Driver.crash driver;
-      driver;
-      dirty_at_crash = dirty;
-      cached_at_crash;
-      dirty_fraction = float_of_int dirty /. float_of_int (Pool.capacity pool);
-      db_pages;
-      deltas_total;
-      bws_total;
-      delta_bytes;
-      bw_bytes;
-      updates_run = Driver.updates_done driver;
-    }
-  in
-  (* Seal before the run is shared: the harness fans recoveries of one
-     crash_run across domains, and each verifies against this oracle. *)
-  Oracle.seal (Driver.oracle driver);
-  run
+  {
+    image = Driver.crash driver;
+    driver;
+    dirty_at_crash = dirty;
+    cached_at_crash;
+    dirty_fraction = float_of_int dirty /. float_of_int (Pool.capacity pool);
+    db_pages;
+    deltas_total;
+    bws_total;
+    delta_bytes;
+    bw_bytes;
+    updates_run = Driver.updates_done driver;
+  }
 
 let drop_cache c =
-  Mutex.lock c.mutex;
   Hashtbl.reset c.entries;
-  c.lru <- [];
-  (* In-flight builders notice their [Building] marker is gone and return
-     their run without publishing it. *)
-  Condition.broadcast c.cond;
-  Mutex.unlock c.mutex
+  c.lru <- []
 
 let build ?cache scaled =
   match cache with
   | None -> build_uncached scaled
   | Some c -> (
-      let rec acquire () =
-        match Hashtbl.find_opt c.entries scaled with
-        | Some (Built run) ->
-            c.lru <- scaled :: List.filter (fun s -> s <> scaled) c.lru;
-            Some run
-        | Some Building ->
-            Condition.wait c.cond c.mutex;
-            acquire ()
-        | None ->
-            Hashtbl.replace c.entries scaled Building;
-            None
-      in
-      Mutex.lock c.mutex;
-      let cached = acquire () in
-      Mutex.unlock c.mutex;
-      match cached with
-      | Some run -> run
-      | None -> (
-          match build_uncached scaled with
-          | exception e ->
-              Mutex.lock c.mutex;
-              Hashtbl.remove c.entries scaled;
-              Condition.broadcast c.cond;
-              Mutex.unlock c.mutex;
-              raise e
-          | run ->
-              Mutex.lock c.mutex;
-              (match Hashtbl.find_opt c.entries scaled with
-              | Some Building ->
-                  Hashtbl.replace c.entries scaled (Built run);
-                  c.lru <- scaled :: c.lru;
-                  if List.length c.lru > c.max_entries then (
-                    match List.rev c.lru with
-                    | oldest :: _ ->
-                        Hashtbl.remove c.entries oldest;
-                        c.lru <- List.filter (fun s -> s <> oldest) c.lru
-                    | [] -> ())
-              | Some (Built _) | None ->
-                  (* [drop_cache] raced us, or the marker was cleared;
-                     hand the run to our caller without caching it. *)
-                  ());
-              Condition.broadcast c.cond;
-              Mutex.unlock c.mutex;
-              run))
+      let touch () = c.lru <- scaled :: List.filter (fun s -> s <> scaled) c.lru in
+      match Hashtbl.find_opt c.entries scaled with
+      | Some run ->
+          touch ();
+          run
+      | None ->
+          let run = build_uncached scaled in
+          Hashtbl.replace c.entries scaled run;
+          touch ();
+          (if List.length c.lru > max_entries then
+             match List.rev c.lru with
+             | oldest :: _ ->
+                 Hashtbl.remove c.entries oldest;
+                 c.lru <- List.filter (fun s -> s <> oldest) c.lru
+             | [] -> ());
+          run)
 
 let recover_verified ?workers run method_ =
   let config =
@@ -245,7 +187,7 @@ let run_all run methods = List.map (fun m -> (m, run_method run m)) methods
 (* Digest of the stable page store after forcing every dirty frame out:
    the complete post-recovery database image, byte for byte.  Paired with
    [Client_sched.logical_digest], this is what the determinism gate
-   compares across domain counts. *)
+   compares across redo domain counts. *)
 let store_digest db =
   let engine = Db.engine db in
   Pool.flush_all_dirty engine.Deut_core.Engine.pool;

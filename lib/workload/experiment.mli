@@ -50,22 +50,20 @@ type crash_run = {
 type build_cache
 (** Memoizes [build] by setup.  Sound because [build] is deterministic in
     its [scaled] argument; recoveries copy the crash image before mutating
-    anything, so a cached run can back any number of them.  Safe to share
-    across domains: a mutex guards the table, a requester of a setup whose
-    build is already in flight waits for it rather than duplicating it, and
-    published runs have sealed oracles (see {!Oracle.seal}).  Costs memory:
+    anything, so a cached run can back any number of them.  Costs memory:
     every cached crash image (store + log) stays live until evicted — an
-    LRU bound of [max_entries] caps how many. *)
+    LRU bound of 16 entries caps how many.  Single-domain: not safe to
+    share across domains. *)
 
-val build_cache : ?max_entries:int -> unit -> build_cache
-(** [max_entries] defaults to 16. *)
+val build_cache : unit -> build_cache
 
 val drop_cache : build_cache -> unit
 (** Empty the cache, releasing every retained crash image. *)
 
 val build : ?cache:build_cache -> scaled -> crash_run
 (** Load, warm to cache equilibrium, run the crash protocol, leave one
-    uncommitted transaction, crash.  Thread-safe when [cache] is given. *)
+    uncommitted transaction, crash.  With [cache], an equal [scaled] returns
+    the cached (physically equal) run. *)
 
 val run_method :
   ?workers:int -> crash_run -> Deut_core.Recovery.method_ -> Deut_core.Recovery_stats.t
@@ -93,4 +91,4 @@ val store_digest : Deut_core.Db.t -> string
 (** Digest of the stable page store after flushing every dirty frame — the
     complete database image, byte for byte.  Together with
     [Client_sched.logical_digest] this is the determinism gate's currency:
-    recovered state must hash identically at every domain count. *)
+    recovered state must hash identically at every redo domain count. *)

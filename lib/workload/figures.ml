@@ -5,23 +5,6 @@ module Rs = Deut_core.Recovery_stats
 let paper_cache_sizes = [ 64; 128; 256; 512; 1024; 2048 ]
 let no_progress _ = ()
 
-(* The sweeps below evaluate independent cells — separate engines sharing
-   nothing but the build cache (itself a monitor) — so with domains > 1
-   they fan cells across real OS-level domains via {!Deut_sim.Domain_pool}.
-   Results come back in input order, and each cell's simulated numbers are
-   byte-identical to a sequential run ([Experiment.paper_setup] pins the
-   per-cell config to one domain), so harness parallelism buys wall clock
-   only.  Progress lines are serialised so concurrent cells cannot
-   interleave output. *)
-let fan ~domains f items =
-  Deut_sim.Domain_pool.map (Deut_sim.Domain_pool.create ~domains) f items
-
-let progress_lock = Mutex.create ()
-
-let serial progress msg =
-  Mutex.lock progress_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock progress_lock) (fun () -> progress msg)
-
 type fig2_cell = {
   cache_mb : int;
   pool_pages : int;
@@ -32,51 +15,36 @@ type fig2_cell = {
   methods : (Recovery.method_ * Rs.t) list;
   build_wall_s : float;  (* real seconds to build workload + crash image *)
   method_walls : (Recovery.method_ * float) list;  (* real seconds per recover+verify *)
-  digests : (Recovery.method_ * (string * string)) list;
-      (* (store, logical) digest of each method's recovered state — what the
-         cross-domain determinism gate compares *)
 }
 
 let stats_of cell m = List.assoc m cell.methods
 let redo_ms_of cell m = Rs.redo_ms (stats_of cell m)
 
 let run_fig2 ?cache ?(scale = 64) ?(cache_sizes = paper_cache_sizes)
-    ?(methods = Recovery.all_methods) ?(progress = no_progress)
-    ?(domains = Config.default.Config.domains) () =
-  (* Phase 1: one build per cache size, fanned across domains. *)
+    ?(methods = Recovery.all_methods) ?(progress = no_progress) () =
+  (* Phase 1: one build per cache size. *)
   let builds =
-    fan ~domains
+    List.map
       (fun cache_mb ->
-        serial progress (Printf.sprintf "fig2: cache %d MB (scale 1/%d)" cache_mb scale);
+        progress (Printf.sprintf "fig2: cache %d MB (scale 1/%d)" cache_mb scale);
         let setup = Experiment.paper_setup ~scale ~cache_mb () in
         let t0 = Unix.gettimeofday () in
         let run = Experiment.build ?cache setup in
         (cache_mb, setup, run, Unix.gettimeofday () -. t0))
       cache_sizes
   in
-  (* Phase 2: every (cache size, method) recovery is independent — the
-     crash image is copied before recovery mutates anything and the oracle
-     is sealed — so the full grid fans out flat. *)
-  let tasks =
-    List.concat_map (fun (cache_mb, _, run, _) -> List.map (fun m -> (cache_mb, run, m)) methods)
-      builds
-  in
-  let timed =
-    fan ~domains
-      (fun (cache_mb, run, m) ->
-        let t0 = Unix.gettimeofday () in
-        let recovered, _engine, stats = Experiment.recover_verified run m in
-        let wall = Unix.gettimeofday () -. t0 in
-        let digest =
-          (Experiment.store_digest recovered, Client_sched.logical_digest recovered)
-        in
-        (cache_mb, m, stats, wall, digest))
-      tasks
-  in
+  (* Phase 2: every (cache size, method) recovery of the grid. *)
   List.map
     (fun (cache_mb, setup, run, build_wall_s) ->
-      let mine = List.filter (fun (mb, _, _, _, _) -> mb = cache_mb) timed in
-      let results = List.map (fun (_, m, s, _, _) -> (m, s)) mine in
+      let timed =
+        List.map
+          (fun m ->
+            let t0 = Unix.gettimeofday () in
+            let stats = Experiment.run_method run m in
+            (m, stats, Unix.gettimeofday () -. t0))
+          methods
+      in
+      let results = List.map (fun (m, s, _) -> (m, s)) timed in
       (* Δ/BW analysis counts come from any DPT-building method's stats. *)
       let counting =
         match List.find_opt (fun (m, _) -> m = Recovery.Log1) results with
@@ -92,8 +60,7 @@ let run_fig2 ?cache ?(scale = 64) ?(cache_sizes = paper_cache_sizes)
         bws_seen = counting.Rs.bws_seen;
         methods = results;
         build_wall_s;
-        method_walls = List.map (fun (_, m, _, w, _) -> (m, w)) mine;
-        digests = List.map (fun (_, m, _, _, d) -> (m, d)) mine;
+        method_walls = List.map (fun (m, _, w) -> (m, w)) timed;
       })
     builds
 
@@ -280,10 +247,10 @@ let costmodel cells =
 type fig3_cell = { multiplier : int; methods3 : (Recovery.method_ * Rs.t) list }
 
 let run_fig3 ?cache ?(scale = 64) ?(cache_mb = 512) ?(multipliers = [ 1; 5; 10 ])
-    ?(progress = no_progress) ?(domains = Config.default.Config.domains) () =
-  fan ~domains
+    ?(progress = no_progress) () =
+  List.map
     (fun multiplier ->
-      serial progress
+      progress
         (Printf.sprintf "fig3: checkpoint interval %dx (scale 1/%d)" multiplier scale);
       let setup = Experiment.paper_setup ~scale ~cache_mb ~ckpt_multiplier:multiplier () in
       let run = Experiment.build ?cache setup in
@@ -469,12 +436,11 @@ type workers_cell = {
 }
 
 let run_workers ?cache ?(scale = 64) ?(cache_sizes = [ 64; 512 ]) ?(workers = [ 1; 2; 4; 8 ])
-    ?(methods = Recovery.all_methods) ?(progress = no_progress)
-    ?(domains = Config.default.Config.domains) () =
+    ?(methods = Recovery.all_methods) ?(progress = no_progress) () =
   let builds =
-    fan ~domains
+    List.map
       (fun cache_mb ->
-        serial progress (Printf.sprintf "workers: cache %d MB (scale 1/%d)" cache_mb scale);
+        progress (Printf.sprintf "workers: cache %d MB (scale 1/%d)" cache_mb scale);
         let setup = Experiment.paper_setup ~scale ~cache_mb () in
         (cache_mb, Experiment.build ?cache setup))
       cache_sizes
@@ -485,7 +451,7 @@ let run_workers ?cache ?(scale = 64) ?(cache_sizes = [ 64; 512 ]) ?(workers = [ 
         List.concat_map (fun m -> List.map (fun w -> (cache_mb, run, m, w)) workers) methods)
       builds
   in
-  fan ~domains
+  List.map
     (fun (cache_mb, run, m, w) ->
       let _db, engine, stats = Experiment.recover_verified ~workers:w run m in
       { w_cache_mb = cache_mb; w_method = m; w_count = w; w_stats = stats; w_engine = engine })
@@ -547,13 +513,12 @@ type concurrency_cell = {
 }
 
 let run_concurrency ?(scale = 64) ?(cache_mb = 256) ?(clients = [ 1; 2; 4; 8 ])
-    ?(group_commits = [ 1; 4 ]) ?(txns = 300) ?(progress = no_progress)
-    ?(domains = Config.default.Config.domains) () =
+    ?(group_commits = [ 1; 4 ]) ?(txns = 300) ?(progress = no_progress) () =
   let coords = List.concat_map (fun gc -> List.map (fun n -> (gc, n)) clients) group_commits in
   let cells =
-    fan ~domains
+    List.map
       (fun (gc, n) ->
-            serial progress
+            progress
               (Printf.sprintf "concurrency: %d client%s, group_commit %d (scale 1/%d)" n
                  (if n = 1 then "" else "s")
                  gc scale);
@@ -669,15 +634,14 @@ type sharding_cell = {
 }
 
 let run_sharding ?(scale = 64) ?(cache_mb = 256) ?(shards = [ 1; 2; 4; 8 ])
-    ?(clients = [ 4; 8 ]) ?(txns = 300) ?(net = false) ?(progress = no_progress)
-    ?(domains = Config.default.Config.domains) () =
+    ?(clients = [ 4; 8 ]) ?(txns = 300) ?(net = false) ?(progress = no_progress) () =
   let coords =
     List.concat_map (fun s -> List.map (fun c -> (s, c)) clients) shards
   in
   let cells =
-    fan ~domains
+    List.map
       (fun (n_shards, n_clients) ->
-            serial progress
+            progress
               (Printf.sprintf "sharding: %d shard%s, %d client%s%s (scale 1/%d)" n_shards
                  (if n_shards = 1 then "" else "s")
                  n_clients
@@ -1169,10 +1133,10 @@ type availability_cell = {
 }
 
 let run_availability ?cache ?(scale = 64) ?(cache_sizes = paper_cache_sizes) ?(probes = 32)
-    ?(progress = no_progress) ?(domains = Config.default.Config.domains) () =
-  fan ~domains
+    ?(progress = no_progress) () =
+  List.map
     (fun cache_mb ->
-      serial progress (Printf.sprintf "availability: cache %d MB (scale 1/%d)" cache_mb scale);
+      progress (Printf.sprintf "availability: cache %d MB (scale 1/%d)" cache_mb scale);
       let setup = Experiment.paper_setup ~scale ~cache_mb () in
       let run = Experiment.build ?cache setup in
       let image = run.Experiment.image in

@@ -20,9 +20,6 @@ type fig2_cell = {
           image for this cell — runtime cost, not simulated time *)
   method_walls : (Deut_core.Recovery.method_ * float) list;
       (** real seconds per recover+verify, in [methods] order *)
-  digests : (Deut_core.Recovery.method_ * (string * string)) list;
-      (** (store, logical) digest of each method's recovered state — must be
-          byte-identical at every [domains] setting (the determinism gate) *)
 }
 
 val run_fig2 :
@@ -31,15 +28,11 @@ val run_fig2 :
   ?cache_sizes:int list ->
   ?methods:Deut_core.Recovery.method_ list ->
   ?progress:(string -> unit) ->
-  ?domains:int ->
   unit ->
   fig2_cell list
 (** Defaults: scale 64, the paper's cache sizes 64…2048 MB, the paper's
-    five methods.  [domains] (default [Config.default.domains], i.e.
-    [DEUT_DOMAINS]) fans the builds, then the full (cache size, method)
-    recovery grid, across real OS-level domains; every cell's simulated
-    numbers and digests are byte-identical at any domain count — only wall
-    clock changes. *)
+    five methods.  Builds every cache size first, then recovers the
+    (cache size, method) grid in that order. *)
 
 val fig2a : fig2_cell list -> string
 (** Figure 2(a): redo time (simulated ms) per method per cache size. *)
@@ -69,11 +62,10 @@ val run_fig3 :
   ?cache_mb:int ->
   ?multipliers:int list ->
   ?progress:(string -> unit) ->
-  ?domains:int ->
   unit ->
   fig3_cell list
 (** Appendix C: checkpoint interval ci1, 5×ci1, 10×ci1 at the 512 MB
-    cache.  [domains] fans the interval cells across real domains. *)
+    cache. *)
 
 val fig3 : fig3_cell list -> string
 
@@ -130,14 +122,11 @@ val run_workers :
   ?workers:int list ->
   ?methods:Deut_core.Recovery.method_ list ->
   ?progress:(string -> unit) ->
-  ?domains:int ->
   unit ->
   workers_cell list
 (** One crash per cache size, recovered with every (method, worker count)
     pair; every recovery is oracle-verified.  Defaults: scale 64, caches
-    {64, 512} MB, workers {1, 2, 4, 8}, the paper's five methods.
-    [domains] fans the builds, then the flattened recovery grid, across
-    real domains. *)
+    {64, 512} MB, workers {1, 2, 4, 8}, the paper's five methods. *)
 
 val workers_table : workers_cell list -> string
 (** Redo time, speedup vs one worker, and stall / data-IO latency
@@ -158,7 +147,6 @@ val run_concurrency :
   ?group_commits:int list ->
   ?txns:int ->
   ?progress:(string -> unit) ->
-  ?domains:int ->
   unit ->
   concurrency_cell list
 (** Fresh database per cell, same workload seed everywhere; [txns]
@@ -197,7 +185,6 @@ val run_sharding :
   ?txns:int ->
   ?net:bool ->
   ?progress:(string -> unit) ->
-  ?domains:int ->
   unit ->
   sharding_cell list
 (** Fresh database per (shards, clients) cell, same workload seed
@@ -273,7 +260,6 @@ val run_availability :
   ?cache_sizes:int list ->
   ?probes:int ->
   ?progress:(string -> unit) ->
-  ?domains:int ->
   unit ->
   availability_cell list
 (** One crash per cache size.  Per cell: recover offline with Log2 (the

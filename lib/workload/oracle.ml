@@ -82,17 +82,6 @@ let committed_entries t ~table =
       Hashtbl.replace t.entries_cache table (t.version, entries);
       entries
 
-(* Pre-compute the sorted-entry cache for every table with committed data.
-   After sealing, [committed_entries] (and so [verify]) is a pure read as
-   long as the committed state stays untouched — the invariant that lets
-   several domains verify recoveries against one shared oracle
-   concurrently.  Sealing is not a lock: any later mutation (another
-   commit, a [force]) bumps [version] and the next lookup recomputes. *)
-let seal t =
-  let tables = Hashtbl.create 8 in
-  Hashtbl.iter (fun (table, _) _ -> Hashtbl.replace tables table ()) t.committed;
-  Hashtbl.iter (fun table () -> ignore (committed_entries t ~table)) tables
-
 let entry_count t ~table =
   Hashtbl.fold (fun (tbl, _) _ n -> if tbl = table then n + 1 else n) t.committed 0
 

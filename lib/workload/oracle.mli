@@ -38,13 +38,6 @@ val committed_entries : t -> table:int -> (int * string) list
 
 val entry_count : t -> table:int -> int
 
-val seal : t -> unit
-(** Pre-compute the sorted-entry memo for every table holding committed
-    data, making subsequent [committed_entries]/[verify] calls pure reads
-    while the committed state is untouched.  [Experiment.build] seals the
-    oracle before publishing a crash run so concurrent domains can verify
-    recoveries against it without racing on the memo. *)
-
 val verify : t -> Deut_core.Db.t -> tables:int list -> (unit, string) result
 (** Compare the database contents (a full scan — post-recovery use only)
     against the committed state of every listed table. *)
