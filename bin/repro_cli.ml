@@ -39,216 +39,70 @@ let fail_on_overflow tr =
       Printf.eprintf "FAIL: %s\n" advice;
       exit 1
 
-let scale_arg =
-  let doc = "Divide the paper's sizes (database, cache, checkpoint interval) by $(docv)." in
-  Arg.(value & opt int 64 & info [ "s"; "scale" ] ~docv:"N" ~doc)
+(* One Cmdliner argument per registry parameter: every value goes through
+   [Figures.parse], so a bad one (a 0 count, an empty list, a scale below 1)
+   is a usage error, exit 124. *)
+let arg_of_param : type a. a Figures.param -> a Term.t =
+ fun p ->
+  let conv =
+    Arg.conv
+      ( (fun s -> Result.map_error (fun e -> `Msg e) (Figures.parse p.kind s)),
+        fun fmt v -> Format.pp_print_string fmt (Figures.show p.kind v) )
+  in
+  let absent = if Figures.show p.kind p.full = "" then Some "unset" else None in
+  let info = Arg.info p.names ?absent ~docv:p.docv ~doc:p.doc in
+  match p.kind with
+  | Figures.Flag -> Arg.value (Arg.flag info)
+  | _ when p.names = [] -> Arg.value (Arg.pos 0 conv p.full info)
+  | _ -> Arg.value (Arg.opt conv p.full info)
+
+let rec term_of : type a. a Figures.term -> a Term.t = function
+  | Figures.Const x -> Term.const x
+  | Figures.App (f, p) -> Term.(term_of f $ arg_of_param p)
+
+let scale_arg = arg_of_param Figures.scale_param
+
+(* One subcommand per registry entry: its tables, then its gate. *)
+let experiment_cmd (e : Figures.entry) =
+  let run body scale =
+    let out = body { Figures.scale; cache = None; progress } in
+    print_string (String.concat "\n" (List.map snd out.Figures.sections));
+    match out.Figures.gate with
+    | None -> ()
+    | Some (Ok msg) ->
+        print_newline ();
+        print_endline msg
+    | Some (Error msg) ->
+        Printf.eprintf "FAIL: %s\n" msg;
+        exit 1
+  in
+  Cmd.v (Cmd.info e.name ~doc:e.doc) Term.(const run $ term_of e.term $ scale_arg)
+
+let param names ~docv ~doc kind default =
+  arg_of_param { Figures.names; docv; doc; kind; full = default; quick = default }
 
 let cache_arg =
-  let doc = "Paper-equivalent cache size in MB (64..2048)." in
-  Arg.(value & opt int 512 & info [ "c"; "cache" ] ~docv:"MB" ~doc)
-
-let cache_sizes_arg =
-  let doc = "Comma-separated paper-equivalent cache sizes in MB." in
-  Arg.(
-    value
-    & opt (list int) [ 64; 128; 256; 512; 1024; 2048 ]
-    & info [ "cache-sizes" ] ~docv:"MBS" ~doc)
+  param [ "c"; "cache" ] ~docv:"MB" ~doc:"Paper-equivalent cache size in MB (64..2048)."
+    Figures.Int 512
 
 let workers_arg =
-  let doc = "Simulated parallel redo workers (overrides Config.redo_workers)." in
-  Arg.(value & opt (some int) None & info [ "w"; "workers" ] ~docv:"N" ~doc)
+  param [ "w"; "workers" ] ~docv:"N"
+    ~doc:"Simulated parallel redo workers (overrides Config.redo_workers)." Figures.Int_opt None
 
 let method_conv =
   let parse s =
-    match String.lowercase_ascii s with
-    | "log0" -> Ok Recovery.Log0
-    | "log1" -> Ok Recovery.Log1
-    | "log2" -> Ok Recovery.Log2
-    | "sql1" -> Ok Recovery.Sql1
-    | "sql2" -> Ok Recovery.Sql2
-    | "aries" | "aries-ckpt" -> Ok Recovery.Aries_ckpt
-    | "instant" | "instant-log2" -> Ok Recovery.InstantLog2
-    | other -> Error (`Msg (Printf.sprintf "unknown recovery method %S" other))
+    match Figures.parse Figures.Methods s with
+    | Ok [ m ] -> Ok m
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected one recovery method, got %S" s))
+    | Error e -> Error (`Msg e)
   in
   Arg.conv (parse, fun fmt m -> Format.pp_print_string fmt (Recovery.method_to_string m))
 
-let fig2_cmd =
-  let run scale cache_sizes =
-    let cells = Figures.run_fig2 ~scale ~cache_sizes ~progress () in
-    print_string (Figures.fig2a cells);
-    print_newline ();
-    print_string (Figures.fig2b cells);
-    print_newline ();
-    print_string (Figures.fig2c cells);
-    print_newline ();
-    print_string (Figures.sec53 cells);
-    print_newline ();
-    print_string (Figures.costmodel cells)
-  in
-  Cmd.v
-    (Cmd.info "fig2" ~doc:"Figures 2(a)-(c), the §5.3 claims, and the Appendix B cost model")
-    Term.(const run $ scale_arg $ cache_sizes_arg)
-
-let fig3_cmd =
-  let multipliers_arg =
-    Arg.(
-      value
-      & opt (list int) [ 1; 5; 10 ]
-      & info [ "multipliers" ] ~docv:"KS" ~doc:"Checkpoint interval multipliers.")
-  in
-  let run scale cache multipliers =
-    let cells = Figures.run_fig3 ~scale ~cache_mb:cache ~multipliers ~progress () in
-    print_string (Figures.fig3 cells)
-  in
-  Cmd.v
-    (Cmd.info "fig3" ~doc:"Figure 3 (Appendix C): checkpoint-interval sweep")
-    Term.(const run $ scale_arg $ cache_arg $ multipliers_arg)
-
-let appd_cmd =
-  let run scale cache =
-    print_string (Figures.appd (Figures.run_appd ~scale ~cache_mb:cache ~progress ()))
-  in
-  Cmd.v
-    (Cmd.info "appd" ~doc:"Appendix D ablations: the DC-logging spectrum")
-    Term.(const run $ scale_arg $ cache_arg)
-
-let splitlog_cmd =
-  let run scale cache =
-    print_string (Figures.split_table (Figures.run_split ~scale ~cache_mb:cache ~progress ()))
-  in
-  Cmd.v
-    (Cmd.info "splitlog" ~doc:"Split-log layout (§4.2) vs the integrated prototype")
-    Term.(const run $ scale_arg $ cache_arg)
-
-let workers_cmd =
-  let worker_counts_arg =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 4; 8 ]
-      & info [ "counts" ] ~docv:"NS" ~doc:"Comma-separated worker counts to sweep.")
-  in
-  let run scale cache counts =
-    print_string
-      (Figures.workers_table
-         (Figures.run_workers ~scale ~cache_sizes:[ cache ] ~workers:counts ~progress ()))
-  in
-  Cmd.v
-    (Cmd.info "workers"
-       ~doc:"Parallel-redo sweep: redo time and latency percentiles per worker count")
-    Term.(const run $ scale_arg $ cache_arg $ worker_counts_arg)
-
-let clients_cmd =
-  let client_counts_arg =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 4; 8 ]
-      & info [ "counts" ] ~docv:"NS" ~doc:"Comma-separated client counts to sweep.")
-  in
-  let group_commits_arg =
-    Arg.(
-      value
-      & opt (list int) [ 1; 4 ]
-      & info [ "group-commits" ] ~docv:"GS" ~doc:"Comma-separated group-commit batch sizes.")
-  in
-  let txns_arg =
-    Arg.(
-      value & opt int 300
-      & info [ "t"; "txns" ] ~docv:"N" ~doc:"Committed transactions per cell.")
-  in
-  let run scale cache counts group_commits txns =
-    print_string
-      (Figures.concurrency_table
-         (Figures.run_concurrency ~scale ~cache_mb:cache ~clients:counts ~group_commits ~txns
-            ~progress ()))
-  in
-  Cmd.v
-    (Cmd.info "clients"
-       ~doc:
-         "Concurrency sweep: simulated multi-client normal execution per (clients, \
-          group_commit) cell, with the cross-cell determinism digest check")
-    Term.(const run $ scale_arg $ cache_arg $ client_counts_arg $ group_commits_arg $ txns_arg)
-
-let shards_cmd =
-  let shard_counts_arg =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 4; 8 ]
-      & info [ "counts" ] ~docv:"NS" ~doc:"Comma-separated shard counts to sweep.")
-  in
-  let client_counts_arg =
-    Arg.(
-      value
-      & opt (list int) [ 4; 8 ]
-      & info [ "clients" ] ~docv:"NS" ~doc:"Comma-separated client counts to sweep.")
-  in
-  let txns_arg =
-    Arg.(
-      value & opt int 300
-      & info [ "t"; "txns" ] ~docv:"N" ~doc:"Committed transactions per cell.")
-  in
-  let net_arg =
-    Arg.(
-      value & flag
-      & info [ "net" ]
-          ~doc:
-            "Route the TC-DC protocol over simulated network links (latency model from \
-             DEUT_NET_* / defaults) instead of in-process calls.")
-  in
-  let run scale cache counts clients txns net =
-    print_string
-      (Figures.sharding_table
-         (Figures.run_sharding ~scale ~cache_mb:cache ~shards:counts ~clients ~txns ~net
-            ~progress ()))
-  in
-  Cmd.v
-    (Cmd.info "shards"
-       ~doc:
-         "Sharding sweep: one TC driving N data components per (shards, clients) cell, \
-          with the cross-cell shard-transparency digest check and a single-shard-crash \
-          availability scenario per multi-shard cell")
-    Term.(
-      const run $ scale_arg $ cache_arg $ shard_counts_arg $ client_counts_arg $ txns_arg
-      $ net_arg)
-
-let archive_cmd =
-  let clients_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "clients" ] ~docv:"N" ~doc:"Simulated concurrent clients driving the workload.")
-  in
-  let rounds_arg =
-    Arg.(
-      value & opt int 6
-      & info [ "rounds" ] ~docv:"N" ~doc:"Checkpoint + archive-cut rounds to run.")
-  in
-  let txns_arg =
-    Arg.(
-      value & opt int 100
-      & info [ "t"; "txns" ] ~docv:"N" ~doc:"Committed transactions per round.")
-  in
-  let run scale cache clients rounds txns =
-    print_string
-      (Figures.archiving_table
-         (Figures.run_archiving ~scale ~cache_mb:cache ~clients ~rounds ~txns_per_round:txns
-            ~progress ()))
-  in
-  Cmd.v
-    (Cmd.info "archive"
-       ~doc:
-         "Log-archiving sweep: the long-running multi-client workload with periodic \
-          checkpoint + archive cuts, run with archiving off and on.  Shows the live log \
-          staying bounded while logged bytes grow, checks the sealed-coverage durability \
-          contract every round, cross-checks the final digests, and restarts from the \
-          truncated log + archive with every method (oracle-verified).")
-    Term.(const run $ scale_arg $ cache_arg $ clients_arg $ rounds_arg $ txns_arg)
-
 let crash_cmd =
   let methods_arg =
-    Arg.(
-      value
-      & opt (list method_conv) Recovery.all_methods
-      & info [ "m"; "methods" ] ~docv:"METHODS"
-          ~doc:"Recovery methods to run (log0, log1, log2, sql1, sql2, aries).")
+    param [ "m"; "methods" ] ~docv:"METHODS"
+      ~doc:"Recovery methods to run (log0, log1, log2, sql1, sql2, aries)." Figures.Methods
+      Recovery.all_methods
   in
   let repeat_arg =
     Arg.(
@@ -561,180 +415,6 @@ let analyze_cmd =
       const run $ scale_arg $ cache_arg $ method_pos_arg $ out_arg $ trace_out_arg $ csv_arg
       $ check_arg $ tolerance_arg)
 
-let tune_cmd =
-  let ints_opt name doc =
-    Arg.(value & opt (some (list int)) None & info [ name ] ~docv:"NS" ~doc)
-  in
-  let windows_arg = ints_opt "windows" "Comma-separated prefetch_window candidates." in
-  let chunks_arg = ints_opt "chunks" "Comma-separated prefetch_chunk candidates." in
-  let lookaheads_arg =
-    ints_opt "lookaheads" "Comma-separated prefetch_lookahead candidates (SQL2 only)."
-  in
-  let run scale cache method_ windows chunks lookaheads =
-    (match method_ with
-    | Recovery.Log2 | Recovery.Sql2 -> ()
-    | m ->
-        Printf.eprintf "tune: %s does not prefetch; only log2 and sql2 can be tuned\n"
-          (Recovery.method_to_string m);
-        exit 1);
-    let cells =
-      Figures.run_tuning ~scale ~cache_sizes:[ cache ] ~methods:[ method_ ] ?windows ?chunks
-        ?lookaheads ~progress ()
-    in
-    print_string (Figures.tuning_table cells)
-  in
-  Cmd.v
-    (Cmd.info "tune"
-       ~doc:
-         "Sweep prefetch settings for one method at one cache size, score each candidate by \
-          its trace-mined profile (stall-attributed time plus late/wasted-prefetch \
-          penalties), and print the recommendation table.  Every candidate recovery is \
-          oracle-verified.")
-    Term.(
-      const run $ scale_arg $ cache_arg $ method_pos_arg $ windows_arg $ chunks_arg
-      $ lookaheads_arg)
-
-let instant_cmd =
-  let min_speedup_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "min-speedup" ] ~docv:"R"
-          ~doc:
-            "Gate: fail (exit 1) unless time-to-full-recovery is at least $(docv)x the \
-             time-to-first-transaction at the smallest cache size.")
-  in
-  let probes_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "probes" ] ~docv:"N"
-          ~doc:"Probe reads served while the background redo is still draining.")
-  in
-  let run scale cache_sizes probes min_speedup =
-    let cells = Figures.run_availability ~scale ~cache_sizes ~probes ~progress () in
-    print_string (Figures.availability_table cells);
-    match min_speedup with
-    | None -> ()
-    | Some r -> (
-        match
-          List.fold_left
-            (fun acc (c : Figures.availability_cell) ->
-              match acc with
-              | Some (b : Figures.availability_cell) when b.Figures.v_cache_mb <= c.Figures.v_cache_mb ->
-                  acc
-              | _ -> Some c)
-            None cells
-        with
-        | None ->
-            Printf.eprintf "FAIL: no availability cells were produced\n";
-            exit 1
-        | Some smallest ->
-            print_newline ();
-            if smallest.Figures.v_speedup < r then begin
-              Printf.eprintf
-                "FAIL: availability gate — %.1fx at %d MB, need >= %.1fx (open %.3f ms, \
-                 drained %.3f ms)\n"
-                smallest.Figures.v_speedup smallest.Figures.v_cache_mb r
-                smallest.Figures.v_ttft_ms smallest.Figures.v_drained_ms;
-              exit 1
-            end;
-            Printf.printf
-              "availability gate OK: %.1fx at %d MB (need >= %.1fx); open is %.1fx faster \
-               than offline Log2\n"
-              smallest.Figures.v_speedup smallest.Figures.v_cache_mb r
-              smallest.Figures.v_speedup_vs_log2)
-  in
-  Cmd.v
-    (Cmd.info "instant"
-       ~doc:
-         "Instant-recovery availability sweep: per cache size, recover with InstantLog2 and \
-          report time-to-first-transaction vs time-to-full-recovery, both against the \
-          staged run's own drain and against offline Log2.  Each cell first \
-          proves the determinism gate — the drained InstantLog2 state is byte-identical to \
-          offline Log2 — then serves probe reads during the staged drain.  With \
-          $(b,--min-speedup), acts as a regression gate on the availability win.")
-    Term.(const run $ scale_arg $ cache_sizes_arg $ probes_arg $ min_speedup_arg)
-
-let domains_cmd =
-  let domains_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "d"; "domains" ] ~docv:"N"
-          ~doc:
-            "Domains for the parallel redo (default: DEUT_DOMAINS when set above 1, else \
-             min(4, available cores)).")
-  in
-  let run scale cache_sizes domains =
-    let domains =
-      match domains with
-      | Some d when d >= 1 -> d
-      | _ ->
-          let d = Config.default.Config.domains in
-          if d > 1 then d else Stdlib.min 4 (Deut_sim.Domain_pool.available_cores ())
-    in
-    let cores = Deut_sim.Domain_pool.available_cores () in
-    progress
-      (Printf.sprintf "Log2 redo at 1 then %d domain(s); %d core(s) available" domains cores);
-    (* Domain-parallel redo on one image: the reference scheduler against
-       real partitions at every partition count. *)
-    let cache_mb = List.fold_left Stdlib.max 64 cache_sizes in
-    let setup = Experiment.paper_setup ~scale ~cache_mb () in
-    let crash = Experiment.build setup in
-    let redo d =
-      let config =
-        { crash.Experiment.image.Deut_core.Crash_image.config with Config.domains = d }
-      in
-      let t0 = Unix.gettimeofday () in
-      let db, _stats = Db.recover ~config crash.Experiment.image Recovery.Log2 in
-      let wall = Unix.gettimeofday () -. t0 in
-      (match Driver.verify_recovered crash.Experiment.driver db with
-      | Ok () -> ()
-      | Error msg -> failwith (Printf.sprintf "Log2 at %d domains: wrong state: %s" d msg));
-      (Experiment.store_digest db, Deut_workload.Client_sched.logical_digest db, wall)
-    in
-    let s1, l1, redo_seq_wall = redo 1 in
-    let redo_par_wall = ref redo_seq_wall in
-    List.iter
-      (fun d ->
-        let s, l, w = redo d in
-        if d = domains then redo_par_wall := w;
-        if s <> s1 || l <> l1 then begin
-          Printf.eprintf
-            "FAIL: determinism gate — Log2 redo digest diverged at %d partitions\n" d;
-          exit 1
-        end)
-      (List.sort_uniq compare [ 2; 4; 8; domains ]);
-    print_string
-      (Report.table ~title:"Real multicore — domain-parallel Log2 redo, wall clock"
-         ~header:[ "measure"; "1 domain"; Printf.sprintf "%d domains" domains; "speedup" ]
-         ~rows:
-           [
-             [
-               "Log2 redo (s)";
-               Printf.sprintf "%.2f" redo_seq_wall;
-               Printf.sprintf "%.2f" !redo_par_wall;
-               (if !redo_par_wall > 0.0 then
-                  Printf.sprintf "%.2fx" (redo_seq_wall /. !redo_par_wall)
-                else "-");
-             ];
-           ]
-         ());
-    Printf.printf
-      "determinism gate OK: digests byte-identical at every redo partition count; %d \
-       core(s) available\n"
-      cores
-  in
-  Cmd.v
-    (Cmd.info "domains"
-       ~doc:
-         "Real-multicore determinism check: recover one image (built at the largest of \
-          $(b,--cache-sizes)) with Log2 at 1 domain and with domain-parallel redo at \
-          2, 4, 8 and $(b,-d) partitions, and prove the store and logical digests \
-          byte-identical at every count.  Reports the wall-clock redo time at 1 and \
-          $(b,-d) domains.")
-    Term.(const run $ scale_arg $ cache_sizes_arg $ domains_arg)
-
 let metrics_cmd =
   let run scale cache method_ =
     let db, _stats = recover_standard ~scale ~cache ~tracing:false method_ in
@@ -790,21 +470,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [
-            fig2_cmd;
-            fig3_cmd;
-            appd_cmd;
-            splitlog_cmd;
-            workers_cmd;
-            clients_cmd;
-            shards_cmd;
-            archive_cmd;
-            crash_cmd;
-            trace_cmd;
-            analyze_cmd;
-            tune_cmd;
-            instant_cmd;
-            domains_cmd;
-            metrics_cmd;
-            forensics_cmd;
-          ]))
+          (List.map experiment_cmd Figures.registry
+          @ [ crash_cmd; trace_cmd; analyze_cmd; metrics_cmd; forensics_cmd ])))

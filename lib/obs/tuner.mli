@@ -3,7 +3,7 @@
     This module is the policy half of the feedback loop: given one
     {!Analysis.t} per candidate prefetch setting (all from the same crash
     image, produced by a sweep the caller runs — see
-    [Figures.run_tuning]), it scores each candidate by its stall-attributed
+    the [tune] entry of [Figures.registry]), it scores each candidate by its stall-attributed
     time plus penalties for late and wasted prefetches, and picks a winner
     with a total-order tie-break so the recommendation is reproducible.
 

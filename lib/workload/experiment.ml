@@ -37,7 +37,7 @@ let paper_setup ?(scale = 32) ?(ckpt_multiplier = 1) ?(dpt_mode = Config.Standar
       dpt_mode;
       checkpoint_mode;
       (* The paper's experiment is a single data component; callers that
-         want a sharded cell (Figures.run_sharding) override this.  Real
+         want a sharded cell (the sharding sweep in Figures) override this.  Real
          domains likewise: domain-parallel redo changes simulated redo
          time, so a cell pins [domains = 1] and its numbers do not depend
          on DEUT_DOMAINS — callers that want domain-parallel redo inside a

@@ -3,7 +3,8 @@ module Recovery = Deut_core.Recovery
 module Rs = Deut_core.Recovery_stats
 
 let paper_cache_sizes = [ 64; 128; 256; 512; 1024; 2048 ]
-let no_progress _ = ()
+
+type ctx = { scale : int; cache : Experiment.build_cache option; progress : string -> unit }
 
 type fig2_cell = {
   cache_mb : int;
@@ -20,8 +21,7 @@ type fig2_cell = {
 let stats_of cell m = List.assoc m cell.methods
 let redo_ms_of cell m = Rs.redo_ms (stats_of cell m)
 
-let run_fig2 ?cache ?(scale = 64) ?(cache_sizes = paper_cache_sizes)
-    ?(methods = Recovery.all_methods) ?(progress = no_progress) () =
+let run_fig2 { scale; cache; progress } ~cache_sizes =
   (* Phase 1: one build per cache size. *)
   let builds =
     List.map
@@ -42,7 +42,7 @@ let run_fig2 ?cache ?(scale = 64) ?(cache_sizes = paper_cache_sizes)
             let t0 = Unix.gettimeofday () in
             let stats = Experiment.run_method run m in
             (m, stats, Unix.gettimeofday () -. t0))
-          methods
+          Recovery.all_methods
       in
       let results = List.map (fun (m, s, _) -> (m, s)) timed in
       (* Δ/BW analysis counts come from any DPT-building method's stats. *)
@@ -246,8 +246,7 @@ let costmodel cells =
 
 type fig3_cell = { multiplier : int; methods3 : (Recovery.method_ * Rs.t) list }
 
-let run_fig3 ?cache ?(scale = 64) ?(cache_mb = 512) ?(multipliers = [ 1; 5; 10 ])
-    ?(progress = no_progress) () =
+let run_fig3 { scale; cache; progress } ~cache_mb ~multipliers =
   List.map
     (fun multiplier ->
       progress
@@ -283,12 +282,12 @@ type appd_row = {
   delta_kb : float;
 }
 
-let run_appd ?cache ?(scale = 64) ?(cache_mb = 512) ?(progress = no_progress) () =
-  let logical_variant label dpt_mode =
+let run_appd { scale; cache; progress } ~cache_mb =
+  let row label ?dpt_mode ?checkpoint_mode method_ =
     progress (Printf.sprintf "appd: %s (scale 1/%d)" label scale);
-    let setup = Experiment.paper_setup ~scale ~cache_mb ~dpt_mode () in
+    let setup = Experiment.paper_setup ~scale ~cache_mb ?dpt_mode ?checkpoint_mode () in
     let run = Experiment.build ?cache setup in
-    let stats = Experiment.run_method run Recovery.Log1 in
+    let stats = Experiment.run_method run method_ in
     {
       label;
       dpt_size = stats.Rs.dpt_size;
@@ -298,27 +297,11 @@ let run_appd ?cache ?(scale = 64) ?(cache_mb = 512) ?(progress = no_progress) ()
       delta_kb = float_of_int run.Experiment.delta_bytes /. 1024.0;
     }
   in
-  let aries () =
-    progress (Printf.sprintf "appd: aries-checkpointing (scale 1/%d)" scale);
-    let setup =
-      Experiment.paper_setup ~scale ~cache_mb ~checkpoint_mode:Config.Aries_fuzzy ()
-    in
-    let run = Experiment.build ?cache setup in
-    let stats = Experiment.run_method run Recovery.Aries_ckpt in
-    {
-      label = "ARIES-ckpt (physiological, §3.1)";
-      dpt_size = stats.Rs.dpt_size;
-      redo_ms = Rs.redo_ms stats;
-      data_fetches = stats.Rs.data_page_fetches;
-      delta_records = run.Experiment.deltas_total;
-      delta_kb = float_of_int run.Experiment.delta_bytes /. 1024.0;
-    }
-  in
   [
-    logical_variant "standard Δ (§4.1)" Config.Standard;
-    logical_variant "perfect DPT (D.1: +DirtyLSNs)" Config.Perfect;
-    logical_variant "reduced logging (D.2: -FW/-FirstDirty)" Config.Reduced;
-    aries ();
+    row "standard Δ (§4.1)" ~dpt_mode:Config.Standard Recovery.Log1;
+    row "perfect DPT (D.1: +DirtyLSNs)" ~dpt_mode:Config.Perfect Recovery.Log1;
+    row "reduced logging (D.2: -FW/-FirstDirty)" ~dpt_mode:Config.Reduced Recovery.Log1;
+    row "ARIES-ckpt (physiological, §3.1)" ~checkpoint_mode:Config.Aries_fuzzy Recovery.Aries_ckpt;
   ]
 
 type split_row = {
@@ -331,7 +314,7 @@ type split_row = {
   dc_log_kb : float;
 }
 
-let run_split ?cache ?(scale = 64) ?(cache_mb = 512) ?(progress = no_progress) () =
+let run_split { scale; cache; progress } ~cache_mb =
   let module Ci = Deut_core.Crash_image in
   let module Log = Deut_wal.Log_manager in
   List.concat_map
@@ -435,8 +418,7 @@ type workers_cell = {
   w_engine : Es.t;
 }
 
-let run_workers ?cache ?(scale = 64) ?(cache_sizes = [ 64; 512 ]) ?(workers = [ 1; 2; 4; 8 ])
-    ?(methods = Recovery.all_methods) ?(progress = no_progress) () =
+let run_workers { scale; cache; progress } ~cache_sizes ~workers =
   let builds =
     List.map
       (fun cache_mb ->
@@ -448,7 +430,9 @@ let run_workers ?cache ?(scale = 64) ?(cache_sizes = [ 64; 512 ]) ?(workers = [ 
   let tasks =
     List.concat_map
       (fun (cache_mb, run) ->
-        List.concat_map (fun m -> List.map (fun w -> (cache_mb, run, m, w)) workers) methods)
+        List.concat_map
+          (fun m -> List.map (fun w -> (cache_mb, run, m, w)) workers)
+          Recovery.all_methods)
       builds
   in
   List.map
@@ -512,8 +496,37 @@ type concurrency_cell = {
   c_digest : string;
 }
 
-let run_concurrency ?(scale = 64) ?(cache_mb = 256) ?(clients = [ 1; 2; 4; 8 ])
-    ?(group_commits = [ 1; 4 ]) ?(txns = 300) ?(progress = no_progress) () =
+(* One driver per cell of an OLTP sweep (concurrency, sharding, archiving):
+   key locking on, a smaller table than the crash experiments (the load
+   dominates otherwise) and a seed shared by every cell — the committed
+   stream, hence the final digest, must not depend on the sweep
+   coordinates.  [tweak] sets the cell's own [Config] fields. *)
+let oltp_driver ~scale ~cache_mb tweak =
+  let setup = Experiment.paper_setup ~scale ~cache_mb () in
+  let spec =
+    {
+      setup.Experiment.spec with
+      Workload.rows = Stdlib.max 2_000 (setup.Experiment.spec.Workload.rows / 16);
+      seed = 1903;
+    }
+  in
+  let config = tweak { setup.Experiment.config with Config.locking = true } in
+  (Driver.create ~config spec, spec)
+
+(* The determinism contract of every OLTP sweep: same seed ⇒ identical
+   committed state in every cell.  Raises naming the first divergent cell. *)
+let check_same_digest what ~digest ~label = function
+  | [] -> ()
+  | first :: rest ->
+      List.iter
+        (fun c ->
+          if digest c <> digest first then
+            failwith
+              (Printf.sprintf "%s sweep: digest diverged — %s gave %s, %s gave %s" what
+                 (label first) (digest first) (label c) (digest c)))
+        rest
+
+let run_concurrency { scale; progress; _ } ~cache_mb ~clients ~group_commits ~txns =
   let coords = List.concat_map (fun gc -> List.map (fun n -> (gc, n)) clients) group_commits in
   let cells =
     List.map
@@ -522,27 +535,10 @@ let run_concurrency ?(scale = 64) ?(cache_mb = 256) ?(clients = [ 1; 2; 4; 8 ])
               (Printf.sprintf "concurrency: %d client%s, group_commit %d (scale 1/%d)" n
                  (if n = 1 then "" else "s")
                  gc scale);
-            let setup = Experiment.paper_setup ~scale ~cache_mb () in
-            let config =
-              {
-                setup.Experiment.config with
-                Config.locking = true;
-                group_commit = gc;
-                clients = n;
-              }
+            let driver, _ =
+              oltp_driver ~scale ~cache_mb (fun c ->
+                  { c with Config.group_commit = gc; clients = n })
             in
-            (* A smaller table than the crash experiments (the load dominates
-               otherwise) and a seed shared by every cell: the committed
-               stream — hence the final digest — must not depend on the
-               sweep coordinates. *)
-            let spec =
-              {
-                setup.Experiment.spec with
-                Workload.rows = Stdlib.max 2_000 (setup.Experiment.spec.Workload.rows / 16);
-                seed = 1903;
-              }
-            in
-            let driver = Driver.create ~config spec in
             let sched = Driver.run_concurrent driver ~txns in
             Client_sched.flush sched;
             (match Driver.verify_recovered driver (Driver.db driver) with
@@ -556,20 +552,9 @@ let run_concurrency ?(scale = 64) ?(cache_mb = 256) ?(clients = [ 1; 2; 4; 8 ])
             })
       coords
   in
-  (* The determinism contract, enforced on every sweep: same seed ⇒ same
-     committed state at any client count and any commit batching. *)
-  (match cells with
-  | [] -> ()
-  | first :: rest ->
-      List.iter
-        (fun c ->
-          if c.c_digest <> first.c_digest then
-            failwith
-              (Printf.sprintf
-                 "concurrency sweep: digest diverged — %d clients/gc=%d gave %s, %d clients/gc=%d gave %s"
-                 first.c_clients first.c_group_commit first.c_digest c.c_clients
-                 c.c_group_commit c.c_digest))
-        rest);
+  check_same_digest "concurrency" cells
+    ~digest:(fun c -> c.c_digest)
+    ~label:(fun c -> Printf.sprintf "%d clients/gc=%d" c.c_clients c.c_group_commit);
   cells
 
 let concurrency_table cells =
@@ -633,8 +618,7 @@ type sharding_cell = {
   sh_crash : sharding_crash option;
 }
 
-let run_sharding ?(scale = 64) ?(cache_mb = 256) ?(shards = [ 1; 2; 4; 8 ])
-    ?(clients = [ 4; 8 ]) ?(txns = 300) ?(net = false) ?(progress = no_progress) () =
+let run_sharding { scale; progress; _ } ~cache_mb ~shards ~clients ~txns ~net =
   let coords =
     List.concat_map (fun s -> List.map (fun c -> (s, c)) clients) shards
   in
@@ -648,26 +632,10 @@ let run_sharding ?(scale = 64) ?(cache_mb = 256) ?(shards = [ 1; 2; 4; 8 ])
                  (if n_clients = 1 then "" else "s")
                  (if net then ", networked" else "")
                  scale);
-            let setup = Experiment.paper_setup ~scale ~cache_mb () in
-            let config =
-              {
-                setup.Experiment.config with
-                Config.locking = true;
-                clients = n_clients;
-                shards = n_shards;
-                net;
-              }
+            let driver, spec =
+              oltp_driver ~scale ~cache_mb (fun c ->
+                  { c with Config.clients = n_clients; shards = n_shards; net })
             in
-            (* Same sizing and seed discipline as the concurrency sweep:
-               the committed stream must not depend on the coordinates. *)
-            let spec =
-              {
-                setup.Experiment.spec with
-                Workload.rows = Stdlib.max 2_000 (setup.Experiment.spec.Workload.rows / 16);
-                seed = 1903;
-              }
-            in
-            let driver = Driver.create ~config spec in
             let sched = Driver.run_concurrent driver ~txns in
             Client_sched.flush sched;
             let db = Driver.db driver in
@@ -721,20 +689,11 @@ let run_sharding ?(scale = 64) ?(cache_mb = 256) ?(shards = [ 1; 2; 4; 8 ])
             })
       coords
   in
-  (* Shard transparency, enforced on every sweep: same seed ⇒ identical
-     committed state at any shard count, any client count, any transport. *)
-  (match cells with
-  | [] -> ()
-  | first :: rest ->
-      List.iter
-        (fun c ->
-          if c.sh_digest <> first.sh_digest then
-            failwith
-              (Printf.sprintf
-                 "sharding sweep: digest diverged — %d shards/%d clients gave %s, %d shards/%d clients gave %s"
-                 first.sh_shards first.sh_clients first.sh_digest c.sh_shards c.sh_clients
-                 c.sh_digest))
-        rest);
+  (* Shard transparency: identical committed state at any shard count, any
+     client count, any transport. *)
+  check_same_digest "sharding" cells
+    ~digest:(fun c -> c.sh_digest)
+    ~label:(fun c -> Printf.sprintf "%d shards/%d clients" c.sh_shards c.sh_clients);
   cells
 
 let sharding_table cells =
@@ -804,8 +763,9 @@ type archiving_cell = {
   a_methods : (Recovery.method_ * Rs.t) list;
 }
 
-let run_archiving ?(scale = 64) ?(cache_mb = 256) ?(clients = 4) ?(rounds = 6)
-    ?(txns_per_round = 100) ?(progress = no_progress) () =
+let last_round cell = List.nth cell.a_rounds (List.length cell.a_rounds - 1)
+
+let run_archiving { scale; progress; _ } ~cache_mb ~clients ~rounds ~txns_per_round =
   let module Db = Deut_core.Db in
   let module Engine = Deut_core.Engine in
   let cells =
@@ -815,26 +775,10 @@ let run_archiving ?(scale = 64) ?(cache_mb = 256) ?(clients = 4) ?(rounds = 6)
           (Printf.sprintf "archiving: %s, %d rounds x %d txns, %d clients (scale 1/%d)"
              (if archive then "on" else "off")
              rounds txns_per_round clients scale);
-        let setup = Experiment.paper_setup ~scale ~cache_mb () in
-        let config =
-          {
-            setup.Experiment.config with
-            Config.locking = true;
-            clients;
-            archive;
-            archive_min_bytes = 0;
-          }
+        let driver, _ =
+          oltp_driver ~scale ~cache_mb (fun c ->
+              { c with Config.clients; archive; archive_min_bytes = 0 })
         in
-        (* Same sizing and seed discipline as the concurrency sweep: the
-           committed stream must not depend on whether archiving runs. *)
-        let spec =
-          {
-            setup.Experiment.spec with
-            Workload.rows = Stdlib.max 2_000 (setup.Experiment.spec.Workload.rows / 16);
-            seed = 1903;
-          }
-        in
-        let driver = Driver.create ~config spec in
         let db = Driver.db driver in
         let log = (Db.engine db).Engine.log in
         let round_row i =
@@ -893,20 +837,15 @@ let run_archiving ?(scale = 64) ?(cache_mb = 256) ?(clients = 4) ?(rounds = 6)
         { a_archive = archive; a_rounds = List.rev !rows; a_digest = digest; a_methods = methods })
       [ false; true ]
   in
-  (match cells with
-  | [ off; on ] ->
-      if off.a_digest <> on.a_digest then
-        failwith
-          (Printf.sprintf "archiving sweep: digest diverged — archive off %s vs on %s"
-             off.a_digest on.a_digest);
-      let last c = List.nth c.a_rounds (List.length c.a_rounds - 1) in
-      let fin = last on in
-      if fin.ar_segments = 0 then failwith "archiving sweep: no segment was ever sealed";
-      if fin.ar_live_kb >= fin.ar_logged_kb then
-        failwith
-          (Printf.sprintf "archiving sweep: live log not bounded — %.1f KiB live of %.1f logged"
-             fin.ar_live_kb fin.ar_logged_kb)
-  | _ -> ());
+  check_same_digest "archiving" cells
+    ~digest:(fun c -> c.a_digest)
+    ~label:(fun c -> if c.a_archive then "archive on" else "archive off");
+  let fin = last_round (List.find (fun c -> c.a_archive) cells) in
+  if fin.ar_segments = 0 then failwith "archiving sweep: no segment was ever sealed";
+  if fin.ar_live_kb >= fin.ar_logged_kb then
+    failwith
+      (Printf.sprintf "archiving sweep: live log not bounded — %.1f KiB live of %.1f logged"
+         fin.ar_live_kb fin.ar_logged_kb);
   cells
 
 let archiving_table cells =
@@ -1017,10 +956,7 @@ let profiled_recovery run method_ config ~meta =
          (Trace.emitted tr));
   (Analysis.of_trace ~meta tr, stats)
 
-let run_tuning ?cache ?(scale = 64) ?(cache_sizes = [ 1024 ]) ?(methods = [ Recovery.Log2; Recovery.Sql2 ])
-    ?(windows = [ 8; 16; 32; 64 ]) ?(chunks = [ 4; 8; 16; 32 ])
-    ?(lookaheads = [ 128; 256; 512; 1024 ]) ?(sources = [ Config.Pf_list; Config.Dpt_order ])
-    ?(progress = no_progress) () =
+let run_tuning { scale; cache; progress } ~cache_sizes ~methods ~windows ~chunks ~lookaheads =
   List.concat_map
     (fun cache_mb ->
       progress (Printf.sprintf "tuning: cache %d MB (scale 1/%d)" cache_mb scale);
@@ -1040,40 +976,26 @@ let run_tuning ?cache ?(scale = 64) ?(cache_sizes = [ 1024 ]) ?(methods = [ Reco
           (* Only the dimension the method's prefetcher reads is swept:
              Log2's PF-driven prefetch ignores the lookahead, SQL2's
              log-driven prefetch ignores the source (Appendix A). *)
-          let grid =
+          let candidates window chunk =
             match method_ with
             | Recovery.Log2 ->
-                List.concat_map
-                  (fun window ->
-                    List.concat_map
-                      (fun chunk ->
-                        List.map
-                          (fun source ->
-                            {
-                              Tuner.window;
-                              chunk;
-                              lookahead = default_cand.Tuner.lookahead;
-                              source = Config.prefetch_source_to_string source;
-                            })
-                          sources)
-                      chunks)
-                  windows
+                List.map
+                  (fun source ->
+                    {
+                      Tuner.window;
+                      chunk;
+                      lookahead = default_cand.Tuner.lookahead;
+                      source = Config.prefetch_source_to_string source;
+                    })
+                  [ Config.Pf_list; Config.Dpt_order ]
             | _ ->
-                List.concat_map
-                  (fun window ->
-                    List.concat_map
-                      (fun chunk ->
-                        List.map
-                          (fun lookahead ->
-                            {
-                              Tuner.window;
-                              chunk;
-                              lookahead;
-                              source = default_cand.Tuner.source;
-                            })
-                          lookaheads)
-                      chunks)
-                  windows
+                List.map
+                  (fun lookahead ->
+                    { Tuner.window; chunk; lookahead; source = default_cand.Tuner.source })
+                  lookaheads
+          in
+          let grid =
+            List.concat_map (fun window -> List.concat_map (candidates window) chunks) windows
           in
           let grid = if List.mem default_cand grid then grid else default_cand :: grid in
           let outcomes =
@@ -1132,8 +1054,7 @@ type availability_cell = {
   v_probe_reads : int;
 }
 
-let run_availability ?cache ?(scale = 64) ?(cache_sizes = paper_cache_sizes) ?(probes = 32)
-    ?(progress = no_progress) () =
+let run_availability { scale; cache; progress } ~cache_sizes ~probes =
   List.map
     (fun cache_mb ->
       progress (Printf.sprintf "availability: cache %d MB (scale 1/%d)" cache_mb scale);
@@ -1265,3 +1186,551 @@ let tuning_table cells =
       Buffer.add_char buf '\n')
     cells;
   Buffer.contents buf
+
+(* ---------- real multicore: domain-parallel redo ---------- *)
+
+type domains_result = {
+  d_domains : int;  (* the -d count: DEUT_DOMAINS above 1, else min(4, cores) *)
+  d_cores : int;
+  d_seq_wall_s : float;
+  d_par_wall_s : float;
+  d_diverged : int option;  (* first partition count whose digests differ *)
+}
+
+(* One image recovered with Log2 by the reference scheduler and by
+   domain-parallel redo at 2, 4, 8 and [domains] partitions; every recovery
+   is oracle-verified and its store and logical digests compared against
+   the single-domain reference. *)
+let run_domains { scale; cache; progress } ~cache_sizes ~domains =
+  let cores = Deut_sim.Domain_pool.available_cores () in
+  let domains =
+    match domains with
+    | Some d -> d
+    | None ->
+        let d = Config.default.Config.domains in
+        if d > 1 then d else Stdlib.min 4 cores
+  in
+  progress
+    (Printf.sprintf "domains: Log2 redo at 1 then %d domain(s), %d core(s) available" domains
+       cores);
+  let cache_mb = List.fold_left Stdlib.max 64 cache_sizes in
+  let run = Experiment.build ?cache (Experiment.paper_setup ~scale ~cache_mb ()) in
+  let redo d =
+    let config = { run.Experiment.image.Deut_core.Crash_image.config with Config.domains = d } in
+    let t0 = Unix.gettimeofday () in
+    let db, _stats = Db.recover ~config run.Experiment.image Recovery.Log2 in
+    let wall = Unix.gettimeofday () -. t0 in
+    (match Driver.verify_recovered run.Experiment.driver db with
+    | Ok () -> ()
+    | Error msg -> failwith (Printf.sprintf "Log2 at %d domains: wrong state: %s" d msg));
+    ((Experiment.store_digest db, Client_sched.logical_digest db), wall)
+  in
+  let reference, seq_wall = redo 1 in
+  let parallel = List.map (fun d -> (d, redo d)) (List.sort_uniq compare [ 2; 4; 8; domains ]) in
+  {
+    d_domains = domains;
+    d_cores = cores;
+    d_seq_wall_s = seq_wall;
+    d_par_wall_s = snd (List.assoc domains parallel);
+    d_diverged =
+      List.find_map (fun (d, (digests, _)) -> if digests <> reference then Some d else None) parallel;
+  }
+
+let domains_table r =
+  Report.table
+    ~title:
+      (Printf.sprintf
+         "Real multicore — domain-parallel Log2 redo, wall clock\n\
+          (%d core(s) available, DEUT_DOMAINS=%d; digests and apply counts are\n\
+          identical at every domain count, simulated redo time is not, and the\n\
+          wall-clock speedup tracks the machine's real core count)"
+         r.d_cores Config.default.Config.domains)
+    ~header:[ "measure"; "1 domain"; Printf.sprintf "%d domains" r.d_domains; "speedup" ]
+    ~rows:
+      [
+        [
+          "Log2 redo (s)";
+          Printf.sprintf "%.2f" r.d_seq_wall_s;
+          Printf.sprintf "%.2f" r.d_par_wall_s;
+          (if r.d_par_wall_s > 0.0 then Printf.sprintf "%.2fx" (r.d_seq_wall_s /. r.d_par_wall_s)
+           else "-");
+        ];
+      ]
+    ()
+
+(* ---------- JSON ---------- *)
+
+type json = Null | Bool of bool | Num of string | Str of string | Arr of json list | Obj of (string * json) list
+
+let num fmt = Printf.ksprintf (fun s -> Num s) fmt
+let int n = Num (string_of_int n)
+
+let json_escape s =
+  let b = Buffer.create (String.length s) in
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+let json_to_string j =
+  let rec value indent = function
+    | Null -> "null"
+    | Bool b -> string_of_bool b
+    | Num s -> s
+    | Str s -> "\"" ^ json_escape s ^ "\""
+    | Arr xs -> block indent "[" "]" (List.map (value (indent ^ "  ")) xs)
+    | Obj kvs ->
+        block indent "{" "}"
+          (List.map (fun (k, v) -> value "" (Str k) ^ ": " ^ value (indent ^ "  ") v) kvs)
+  and block indent op cl = function
+    | [] -> op ^ cl
+    | items ->
+        let items = List.map (fun s -> indent ^ "  " ^ s) items in
+        op ^ "\n" ^ String.concat ",\n" items ^ "\n" ^ indent ^ cl
+  in
+  value "" j ^ "\n"
+
+let fig2_json cell =
+  let method_json (m, s) =
+    Obj
+      [
+        ("method", Str (Recovery.method_to_string m));
+        ("wall_s", num "%.4f" (List.assoc m cell.method_walls));
+        ("analysis_ms", num "%.3f" (Rs.analysis_ms s));
+        ("redo_ms", num "%.3f" (Rs.redo_ms s));
+        ("undo_ms", num "%.3f" (Rs.undo_ms s));
+        ("records_scanned", int s.Rs.records_scanned);
+        ("redo_applied", int s.Rs.redo_applied);
+        ("data_page_fetches", int s.Rs.data_page_fetches);
+        ("log_pages_read", int s.Rs.log_pages_read);
+      ]
+  in
+  Obj
+    [
+      ("cache_mb", int cell.cache_mb);
+      ("pool_pages", int cell.pool_pages);
+      ("db_pages", int cell.db_pages);
+      ("build_wall_s", num "%.3f" cell.build_wall_s);
+      ("methods", Arr (List.map method_json cell.methods));
+    ]
+
+let domains_json r =
+  Obj
+    [
+      ("requested", int Config.default.Config.domains);
+      ("used", int r.d_domains);
+      ("cores_available", int r.d_cores);
+      ("redo_domains", int r.d_domains);
+      ("redo_seq_wall_s", num "%.3f" r.d_seq_wall_s);
+      ("redo_par_wall_s", num "%.3f" r.d_par_wall_s);
+      ("redo_digest_identical", Bool (r.d_diverged = None));
+    ]
+
+let sharding_json c =
+  let s = c.sh_stats in
+  Obj
+    [
+      ("shards", int c.sh_shards);
+      ("clients", int c.sh_clients);
+      ("txns", int s.Client_sched.committed_txns);
+      ("makespan_ms", num "%.3f" s.Client_sched.makespan_ms);
+      ("tput_tps", num "%.0f" s.Client_sched.throughput_tps);
+      ("net_msgs", int c.sh_net_msgs);
+      ( "recover_shard_ms",
+        match c.sh_crash with Some cr -> num "%.3f" cr.sc_recover_ms | None -> Null );
+      ("digest", Str c.sh_digest);
+    ]
+
+let archiving_json c =
+  let fin = last_round c in
+  Obj
+    [
+      ("archive", Bool c.a_archive);
+      ("rounds", int (List.length c.a_rounds));
+      ("final_logged_kb", num "%.1f" fin.ar_logged_kb);
+      ("final_live_kb", num "%.1f" fin.ar_live_kb);
+      ("final_archived_kb", num "%.1f" fin.ar_archive_kb);
+      ("segments", int fin.ar_segments);
+      ("digest", Str c.a_digest);
+    ]
+
+let availability_json c =
+  Obj
+    [
+      ("cache_mb", int c.v_cache_mb);
+      ("ttft_ms", num "%.3f" c.v_ttft_ms);
+      ("drained_ms", num "%.3f" c.v_drained_ms);
+      ("log2_total_ms", num "%.3f" c.v_log2_total_ms);
+      ("speedup", num "%.2f" c.v_speedup);
+      ("speedup_vs_log2", num "%.2f" c.v_speedup_vs_log2);
+      ("pages_ondemand", int c.v_pages_ondemand);
+      ("pages_background", int c.v_pages_background);
+      ("probe_reads", int c.v_probe_reads);
+    ]
+
+(* ---------- parameters ---------- *)
+
+type _ kind =
+  | Int : int kind
+  | Ints : int list kind
+  | Flag : bool kind
+  | Int_opt : int option kind
+  | Float_opt : float option kind
+  | Methods : Recovery.method_ list kind
+
+type 'a param = {
+  names : string list;
+  docv : string;
+  doc : string;
+  kind : 'a kind;
+  full : 'a;
+  quick : 'a;
+}
+
+type _ term = Const : 'a -> 'a term | App : ('a -> 'b) term * 'a param -> 'b term
+
+let ( $ ) f p = App (f, p)
+
+(* Every integer a parameter carries — a count, a size, a round number, a
+   list element — is at least 1: a 0 would crash a runner (no rounds, a
+   division by the scale) or print a row labelled "0 clients". *)
+let positive s =
+  match int_of_string_opt (String.trim s) with
+  | Some n when n >= 1 -> Ok n
+  | Some n -> Error (Printf.sprintf "%d is below 1" n)
+  | None -> Error (Printf.sprintf "%S is not an integer" s)
+
+let parse_method s =
+  match String.lowercase_ascii (String.trim s) with
+  | "log0" -> Ok Recovery.Log0
+  | "log1" -> Ok Recovery.Log1
+  | "log2" -> Ok Recovery.Log2
+  | "sql1" -> Ok Recovery.Sql1
+  | "sql2" -> Ok Recovery.Sql2
+  | "aries" | "aries-ckpt" -> Ok Recovery.Aries_ckpt
+  | "instant" | "instant-log2" | "instantlog2" -> Ok Recovery.InstantLog2
+  | other -> Error (Printf.sprintf "unknown recovery method %S" other)
+
+let parse_list parse s =
+  List.fold_right
+    (fun x acc -> Result.bind acc (fun xs -> Result.map (fun v -> v :: xs) (parse x)))
+    (String.split_on_char ',' s) (Ok [])
+
+let parse : type a. a kind -> string -> (a, string) result =
+ fun kind s ->
+  match kind with
+  | Int -> positive s
+  | Ints -> parse_list positive s
+  | Flag -> Option.to_result ~none:(s ^ " is not a boolean") (bool_of_string_opt s)
+  | Int_opt -> Result.map Option.some (positive s)
+  | Float_opt ->
+      Option.to_result ~none:(s ^ " is not a number") (Option.map Option.some (float_of_string_opt s))
+  | Methods -> parse_list parse_method s
+
+let show : type a. a kind -> a -> string =
+ fun kind v ->
+  let list f xs = String.concat "," (List.map f xs) in
+  match kind with
+  | Int -> string_of_int v
+  | Ints -> list string_of_int v
+  | Flag -> string_of_bool v
+  | Int_opt -> Option.fold ~none:"" ~some:string_of_int v
+  | Float_opt -> Option.fold ~none:"" ~some:string_of_float v
+  | Methods -> list (fun m -> String.lowercase_ascii (Recovery.method_to_string m)) v
+
+let rec eval : type a. quick:bool -> a term -> a =
+ fun ~quick -> function
+  | Const x -> x
+  | App (f, p) -> (eval ~quick f) (if quick then p.quick else p.full)
+
+let param ?(docv = "N") names doc kind ~full ~quick = { names; docv; doc; kind; full; quick }
+
+let scale_param =
+  param [ "s"; "scale" ] "Divide the paper's sizes (database, cache, checkpoint interval) by $(docv)."
+    Int ~full:64 ~quick:64
+
+let cache_mb mb =
+  param ~docv:"MB" [ "c"; "cache" ] "Paper-equivalent cache size in MB (64..2048)." Int ~full:mb
+    ~quick:mb
+
+let cache_sizes names =
+  param ~docv:"MBS" names "Comma-separated paper-equivalent cache sizes in MB." Ints
+
+let counts what = param ~docv:"NS" [ "counts" ] ("Comma-separated " ^ what ^ " counts to sweep.") Ints
+let txns per = param [ "t"; "txns" ] ("Committed transactions per " ^ per ^ ".") Int
+
+(* ---------- the registry ---------- *)
+
+type output = {
+  sections : (string * string) list;
+  json : json option;
+  gate : (string, string) result option;
+}
+
+type entry = { name : string; key : string; doc : string; term : (ctx -> output) term }
+
+let output ?json ?gate sections = { sections; json; gate }
+
+let registry =
+  [
+    {
+      name = "fig2";
+      key = "fig2";
+      doc =
+        "Figures 2(a)-(c), the per-phase breakdown, the §5.3 claims and the Appendix B cost \
+         model: one crash per cache size, recovered with the paper's five methods.";
+      term =
+        Const
+          (fun cache_sizes ctx ->
+            let cells = run_fig2 ctx ~cache_sizes in
+            output
+              ~json:(Arr (List.map fig2_json cells))
+              [
+                ("FIGURE 2(a)", fig2a cells);
+                ("FIGURE 2(b)", fig2b cells);
+                ("FIGURE 2(c)", fig2c cells);
+                ("PER-PHASE BREAKDOWN", phase_table cells);
+                ("SECTION 5.3 CLAIMS", sec53 cells);
+                ("APPENDIX B COST MODEL", costmodel cells);
+              ])
+        $ cache_sizes [ "cache-sizes" ] ~full:paper_cache_sizes ~quick:[ 64; 512; 2048 ];
+    };
+    {
+      name = "fig3";
+      key = "fig3";
+      doc = "Figure 3 (Appendix C): redo time vs checkpoint interval.";
+      term =
+        Const
+          (fun cache_mb multipliers ctx ->
+            output [ ("FIGURE 3 (APPENDIX C)", fig3 (run_fig3 ctx ~cache_mb ~multipliers)) ])
+        $ cache_mb 512
+        $ param ~docv:"KS" [ "multipliers" ] "Checkpoint interval multipliers." Ints
+            ~full:[ 1; 5; 10 ] ~quick:[ 1; 5 ];
+    };
+    {
+      name = "appd";
+      key = "appd";
+      doc = "Appendix D ablations: the DC-logging spectrum plus ARIES checkpointing.";
+      term =
+        Const (fun cache_mb ctx -> output [ ("APPENDIX D ABLATIONS", appd (run_appd ctx ~cache_mb)) ])
+        $ cache_mb 512;
+    };
+    {
+      name = "splitlog";
+      key = "split";
+      doc = "Split-log layout (§4.2) vs the integrated prototype, Log1 and Log2.";
+      term =
+        Const
+          (fun cache_mb ctx ->
+            output [ ("SPLIT-LOG LAYOUT (§4.2)", split_table (run_split ctx ~cache_mb)) ])
+        $ cache_mb 512;
+    };
+    {
+      name = "workers";
+      key = "workers";
+      doc =
+        "Parallel-redo sweep: redo time and latency percentiles per (cache size, method, \
+         worker count), at an IO-bound and an apply-bound cache.";
+      term =
+        Const
+          (fun cache_sizes workers ctx ->
+            output [ ("PARALLEL REDO", workers_table (run_workers ctx ~cache_sizes ~workers)) ])
+        $ cache_sizes [ "c"; "cache" ] ~full:[ 64; 512 ] ~quick:[ 64 ]
+        $ counts "worker" ~full:[ 1; 2; 4; 8 ] ~quick:[ 1; 4 ];
+    };
+    {
+      name = "domains";
+      key = "domains";
+      doc =
+        "Real-multicore determinism check: recover one image (built at the largest of \
+         $(b,--cache-sizes)) with Log2 at 1 domain and with domain-parallel redo at 2, 4, 8 \
+         and $(b,-d) partitions, oracle-verify every recovery and prove the store and \
+         logical digests byte-identical at every count.  Reports the wall-clock redo time \
+         at 1 and $(b,-d) domains.";
+      term =
+        Const
+          (fun cache_sizes domains ctx ->
+            let r = run_domains ctx ~cache_sizes ~domains in
+            output ~json:(domains_json r)
+              ~gate:
+                (match r.d_diverged with
+                | Some d ->
+                    Error
+                      (Printf.sprintf "determinism gate — Log2 redo digest diverged at %d partitions"
+                         d)
+                | None ->
+                    Ok
+                      (Printf.sprintf
+                         "determinism gate OK: digests byte-identical at every redo partition \
+                          count; %d core(s) available"
+                         r.d_cores))
+              [ ("DOMAINS (real multicore)", domains_table r) ])
+        $ cache_sizes [ "cache-sizes" ] ~full:[ 256 ] ~quick:[ 256 ]
+        $ param [ "d"; "domains" ]
+            "Domains for the parallel redo (default: DEUT_DOMAINS when set above 1, else \
+             min(4, available cores))."
+            Int_opt ~full:None ~quick:None;
+    };
+    {
+      name = "clients";
+      key = "concurrency";
+      doc =
+        "Concurrency sweep: simulated multi-client normal execution per (clients, \
+         group_commit) cell, with the cross-cell determinism digest check.";
+      term =
+        Const
+          (fun cache_mb clients group_commits txns ctx ->
+            output
+              [
+                ( "CONCURRENCY",
+                  concurrency_table (run_concurrency ctx ~cache_mb ~clients ~group_commits ~txns)
+                );
+              ])
+        $ cache_mb 256
+        $ counts "client" ~full:[ 1; 2; 4; 8 ] ~quick:[ 1; 4 ]
+        $ param ~docv:"GS" [ "group-commits" ] "Comma-separated group-commit batch sizes." Ints
+            ~full:[ 1; 4; 16 ] ~quick:[ 1; 4 ]
+        $ txns "cell" ~full:300 ~quick:120;
+    };
+    {
+      name = "shards";
+      key = "sharding";
+      doc =
+        "Sharding sweep: one TC driving N data components per (shards, clients) cell, with \
+         the cross-cell shard-transparency digest check and a single-shard-crash \
+         availability scenario per multi-shard cell.";
+      term =
+        Const
+          (fun cache_mb shards clients txns net ctx ->
+            let cells = run_sharding ctx ~cache_mb ~shards ~clients ~txns ~net in
+            output ~json:(Arr (List.map sharding_json cells)) [ ("SHARDING", sharding_table cells) ])
+        $ cache_mb 256
+        $ counts "shard" ~full:[ 1; 2; 4; 8 ] ~quick:[ 1; 4 ]
+        $ param ~docv:"NS" [ "clients" ] "Comma-separated client counts to sweep." Ints
+            ~full:[ 4; 8 ] ~quick:[ 4 ]
+        $ txns "cell" ~full:300 ~quick:120
+        $ param [ "net" ]
+            "Route the TC-DC protocol over simulated network links (latency model from \
+             DEUT_NET_* / defaults) instead of in-process calls."
+            Flag ~full:false ~quick:false;
+    };
+    {
+      name = "archive";
+      key = "archiving";
+      doc =
+        "Log-archiving sweep: the long-running multi-client workload with periodic \
+         checkpoint + archive cuts, run with archiving off and on.  Shows the live log \
+         staying bounded while logged bytes grow, checks the sealed-coverage durability \
+         contract every round, cross-checks the final digests, and restarts from the \
+         truncated log + archive with every method (oracle-verified).";
+      term =
+        Const
+          (fun cache_mb clients rounds txns_per_round ctx ->
+            let cells = run_archiving ctx ~cache_mb ~clients ~rounds ~txns_per_round in
+            output ~json:(Arr (List.map archiving_json cells)) [ ("ARCHIVING", archiving_table cells) ])
+        $ cache_mb 256
+        $ param [ "clients" ] "Simulated concurrent clients driving the workload." Int ~full:4
+            ~quick:4
+        $ param [ "rounds" ] "Checkpoint + archive-cut rounds to run." Int ~full:8 ~quick:4
+        $ txns "round" ~full:120 ~quick:60;
+    };
+    {
+      name = "instant";
+      key = "availability";
+      doc =
+        "Instant-recovery availability sweep: per cache size, recover with InstantLog2 and \
+         report time-to-first-transaction vs time-to-full-recovery, both against the staged \
+         run's own drain and against offline Log2.  Each cell first proves the determinism \
+         gate — the drained InstantLog2 state is byte-identical to offline Log2 — then \
+         serves probe reads during the staged drain.  With $(b,--min-speedup), acts as a \
+         regression gate on the availability win.";
+      term =
+        Const
+          (fun cache_sizes probes min_speedup ctx ->
+            let cells = run_availability ctx ~cache_sizes ~probes in
+            let smallest =
+              List.fold_left
+                (fun b c -> if c.v_cache_mb < b.v_cache_mb then c else b)
+                (List.hd cells) cells
+            in
+            let gate r =
+              if smallest.v_speedup < r then
+                Error
+                  (Printf.sprintf
+                     "availability gate — %.1fx at %d MB, need >= %.1fx (open %.3f ms, drained \
+                      %.3f ms)"
+                     smallest.v_speedup smallest.v_cache_mb r smallest.v_ttft_ms
+                     smallest.v_drained_ms)
+              else
+                Ok
+                  (Printf.sprintf
+                     "availability gate OK: %.1fx at %d MB (need >= %.1fx); open is %.1fx \
+                      faster than offline Log2"
+                     smallest.v_speedup smallest.v_cache_mb r smallest.v_speedup_vs_log2)
+            in
+            output
+              ~json:(Arr (List.map availability_json cells))
+              ?gate:(Option.map gate min_speedup)
+              [ ("INSTANT RECOVERY (AVAILABILITY)", availability_table cells) ])
+        $ cache_sizes [ "cache-sizes" ] ~full:paper_cache_sizes ~quick:[ 64; 512; 2048 ]
+        $ param [ "probes" ] "Probe reads served while the background redo is still draining." Int
+            ~full:32 ~quick:32
+        $ param ~docv:"R" [ "min-speedup" ]
+            "Gate: fail (exit 1) unless time-to-full-recovery is at least $(docv)x the \
+             time-to-first-transaction at the smallest cache size."
+            Float_opt ~full:None ~quick:None;
+    };
+    {
+      name = "tune";
+      key = "tuning";
+      doc =
+        "Sweep prefetch settings per (method, cache size), score each candidate by its \
+         trace-mined profile (stall-attributed time plus late/wasted-prefetch penalties), \
+         and print the recommendation tables.  Every candidate recovery is oracle-verified.";
+      term =
+        Const
+          (fun methods cache_sizes windows chunks lookaheads ctx ->
+            match List.find_opt (fun m -> m <> Recovery.Log2 && m <> Recovery.Sql2) methods with
+            | Some m ->
+                output
+                  ~gate:
+                    (Error
+                       (Printf.sprintf "tune: %s does not prefetch; only log2 and sql2 can be tuned"
+                          (Recovery.method_to_string m)))
+                  []
+            | None ->
+                output
+                  [
+                    ( "PREFETCH TUNING",
+                      tuning_table
+                        (run_tuning ctx ~cache_sizes ~methods ~windows ~chunks ~lookaheads) );
+                  ])
+        $ param ~docv:"METHODS" [] "Comma-separated methods to tune (log2, sql2)." Methods
+            ~full:[ Recovery.Log2; Recovery.Sql2 ] ~quick:[ Recovery.Log2; Recovery.Sql2 ]
+        $ cache_sizes [ "c"; "cache" ] ~full:[ 256; 1024 ] ~quick:[ 512 ]
+        $ param ~docv:"NS" [ "windows" ] "Comma-separated prefetch_window candidates." Ints
+            ~full:[ 8; 16; 32; 64 ] ~quick:[ 16; 32 ]
+        $ param ~docv:"NS" [ "chunks" ] "Comma-separated prefetch_chunk candidates." Ints
+            ~full:[ 4; 8; 16; 32 ] ~quick:[ 8; 16 ]
+        $ param ~docv:"NS" [ "lookaheads" ]
+            "Comma-separated prefetch_lookahead candidates (SQL2 only)." Ints
+            ~full:[ 128; 256; 512; 1024 ] ~quick:[ 256; 512 ];
+    };
+  ]
+
+let run ~quick ctx e = eval ~quick e.term ctx
+
+let parse_arg e name value =
+  let rec find : type a. a term -> (unit, string) result option = function
+    | Const _ -> None
+    | App (f, p) ->
+        if List.mem name p.names then Some (Result.map ignore (parse p.kind value)) else find f
+  in
+  match find e.term with
+  | Some r -> r
+  | None -> invalid_arg (Printf.sprintf "Figures.parse_arg: %s has no --%s" e.name name)

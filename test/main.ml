@@ -26,4 +26,5 @@ let () =
       ("causal", Test_causal.suite);
       ("analysis", Test_analysis.suite);
       ("hotpath", Test_hotpath.suite);
+      ("figures", Test_figures.suite);
     ]
