@@ -43,6 +43,21 @@ let () =
 
 let section_walls : (string * float) list ref = ref []
 
+(* The process's peak resident set (VmHWM) in kB; 0 where /proc is absent. *)
+let peak_rss_kb () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> 0
+  | ic ->
+      let rec go () =
+        match input_line ic with
+        | exception End_of_file -> 0
+        | line -> (
+            match Scanf.sscanf line "VmHWM: %d kB" Fun.id with
+            | kb -> kb
+            | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> go ())
+      in
+      Fun.protect ~finally:(fun () -> close_in ic) go
+
 let timed_section name f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
@@ -94,12 +109,17 @@ let () =
 
   let total_wall_s = Unix.gettimeofday () -. harness_t0 in
   let walls = List.rev !section_walls in
+  let cores = Domain.recommended_domain_count () in
+  let peak_rss_kb = peak_rss_kb () in
   section "WALL-CLOCK PER SECTION (real seconds, not simulated)";
   List.iter (fun (name, w) -> Printf.printf "  %-14s %7.2f s\n" name w) walls;
   Printf.printf "  %-14s %7.2f s\n" "total" total_wall_s;
+  Printf.printf "  %-14s %7d\n" "cores" cores;
+  Printf.printf "  %-14s %7d kB\n" "peak RSS" peak_rss_kb;
 
   (* Machine-readable summary, consumed by CI as an artifact: the run's
-     shape and wall clock, then one block per experiment that has one. *)
+     shape, the machine and wall clock, then one block per experiment that
+     has one. *)
   let secs x = Figures.Num (Printf.sprintf "%.3f" x) in
   let summary =
     Figures.Obj
@@ -107,6 +127,8 @@ let () =
          ("schema", Figures.Str "deut-bench-recovery/1");
          ("scale", Figures.Num (string_of_int scale));
          ("quick", Figures.Bool quick);
+         ("cores", Figures.Num (string_of_int cores));
+         ("peak_rss_kb", Figures.Num (string_of_int peak_rss_kb));
          ("total_wall_s", secs total_wall_s);
          ( "sections",
            Figures.Arr

@@ -14,7 +14,6 @@ module Report = Deut_workload.Report
 module Trace = Deut_obs.Trace
 module Metrics = Deut_obs.Metrics
 module Analysis = Deut_obs.Analysis
-module Tuner = Deut_obs.Tuner
 
 let progress msg = Printf.eprintf "[repro] %s\n%!" msg
 

@@ -48,13 +48,6 @@ let log_layout_to_string = function Integrated -> "integrated" | Split -> "split
       pages in ascending rLSN order, independent of the log. *)
 type prefetch_source = Pf_list | Dpt_order
 
-let prefetch_source_to_string = function Pf_list -> "pf-list" | Dpt_order -> "dpt-order"
-
-let prefetch_source_of_string = function
-  | "pf-list" -> Some Pf_list
-  | "dpt-order" -> Some Dpt_order
-  | _ -> None
-
 type t = {
   page_size : int;
   pool_pages : int;  (** cache capacity in pages *)
@@ -157,15 +150,9 @@ type t = {
           Defaults from the [DEUT_SHARDS] environment variable when
           set. *)
   domains : int;
-      (** real OS-level parallelism: the number of OCaml domains that
-          recovery uses to execute page-disjoint redo partitions on real
-          cores (1 = the single-domain reference scheduler).  Recovered
-          state (store and logical digests) and apply counts are
-          byte-identical at any domain count — the tier-1 determinism gate
-          enforces it; simulated IO accounting and phase times (redo time
-          included) reflect the parallel schedule, the way they already
-          vary with [redo_workers].  Defaults from the [DEUT_DOMAINS]
-          environment variable when set. *)
+      (** retired: recovery has one redo path per method, and nothing
+          reads this field.  It must be 1; engine assembly rejects any
+          other value. *)
   net : bool;
       (** route TC↔DC messages over simulated network links
           ({!Deut_net.Link}) with the [net_*] cost model below; off by
@@ -192,11 +179,6 @@ let default_clients =
 
 let default_shards =
   match Sys.getenv_opt "DEUT_SHARDS" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some n when n >= 1 -> n | _ -> 1)
-  | None -> 1
-
-let default_domains =
-  match Sys.getenv_opt "DEUT_DOMAINS" with
   | Some s -> ( match int_of_string_opt (String.trim s) with Some n when n >= 1 -> n | _ -> 1)
   | None -> 1
 
@@ -238,7 +220,6 @@ let of_env config =
     archive = flag "DEUT_ARCHIVE" config.archive;
     archive_min_bytes = nonneg_int "DEUT_ARCHIVE_MIN_BYTES" config.archive_min_bytes;
     shards = pos_int "DEUT_SHARDS" config.shards;
-    domains = pos_int "DEUT_DOMAINS" config.domains;
     net = flag "DEUT_NET" config.net;
     net_latency_us = nonneg_float "DEUT_NET_LATENCY_US" config.net_latency_us;
     net_jitter_us = nonneg_float "DEUT_NET_JITTER_US" config.net_jitter_us;
@@ -297,7 +278,7 @@ let default =
         batch_seek_factor = 0.75;
       };
     shards = default_shards;
-    domains = default_domains;
+    domains = 1;
     net = (match Sys.getenv_opt "DEUT_NET" with
           | Some s -> ( match String.trim s with "1" | "true" | "yes" -> true | _ -> false)
           | None -> false);

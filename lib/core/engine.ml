@@ -72,6 +72,9 @@ let router t = t.router
    single integrated log would interleave records no one shard could
    replay) and an equal slice of the cache budget. *)
 let normalize config =
+  if config.Config.domains <> 1 then
+    invalid_arg
+      "Engine: Config.domains is retired (recovery has one redo path per method); it must be 1";
   if config.Config.shards <= 1 then config
   else begin
     if config.Config.checkpoint_mode = Config.Aries_fuzzy then

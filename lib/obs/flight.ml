@@ -27,7 +27,6 @@ type t = {
   rings : entry array array;  (* indexed by component + 1; slot 0 is the TC *)
   totals : int array;
   mutable seq : int;
-  owner : Domain.id;  (* instrumentation is single-domain; see flight.mli *)
 }
 
 let tc = -1
@@ -44,7 +43,6 @@ let create ~now ~components ?(capacity = 128) () =
     rings = Array.init (components + 1) (fun _ -> Array.make capacity dummy);
     totals = Array.make (components + 1) 0;
     seq = 0;
-    owner = Domain.self ();
   }
 
 let components t = Array.length t.rings - 1
@@ -52,15 +50,8 @@ let capacity t = t.capacity
 let recorded t = t.seq
 
 (* O(1), allocates one record, never reads or advances the simulated
-   clock beyond sampling it — recording cannot perturb the run.  The
-   ownership guard keeps a cross-domain recording a loud error rather
-   than a torn [seq] (two domains racing it would interleave rings). *)
+   clock beyond sampling it — recording cannot perturb the run. *)
 let record t ~comp kind what ?(mid = -1) ?(lsn = -1) () =
-  if Domain.self () <> t.owner then
-    invalid_arg
-      ("Flight.record: '" ^ what
-     ^ "' recorded from a domain that does not own this recorder \
-        (instrumentation is single-domain: give each domain its own engine)");
   let slot = comp + 1 in
   if slot < 0 || slot >= Array.length t.rings then
     invalid_arg (Printf.sprintf "Flight.record: unknown component %d" comp);

@@ -15,14 +15,8 @@
     contract shared with {!Trace}).  A {!snapshot} is an immutable deep
     copy taken at crash time; it rides inside the crash image so
     [repro_cli forensics] can print the last events before the crash after
-    the fact.  [render] is deterministic: same seed, same bytes.
-
-    Instrumentation is single-domain: the recorder belongs to the domain
-    that created it, and recording from any other domain raises
-    [Invalid_argument] rather than interleaving rings through a torn
-    sequence counter.  The domain-parallel harness and redo honour this by
-    giving every domain its own engine; snapshots taken after the owning
-    domain has been joined are safe. *)
+    the fact.  [render] is deterministic: same seed, same bytes.  A
+    recorder is not safe to share across domains. *)
 
 type kind =
   | Send  (** TC dispatched a protocol request *)

@@ -21,30 +21,17 @@ type entry =
 type t = {
   by_name : (string, entry) Hashtbl.t;
   mutable order : string list; (* reverse registration order *)
-  owner : Domain.id;  (* instrumentation is single-domain; see metrics.mli *)
 }
 
-let create () = { by_name = Hashtbl.create 64; order = []; owner = Domain.self () }
+let create () = { by_name = Hashtbl.create 64; order = [] }
 
 (* Registration is loud: a second registration under the same name is a
    naming bug (e.g. two shards both claiming "disk.data.io_us"), and
    silently shadowing the first instrument would make one of them
    disappear from every reader.  The get-or-create constructors below
    never reach here for an existing name, so this fires only on genuine
-   collisions.
-
-   It is also the domain-ownership checkpoint: every instrument reaches
-   its engine's registry through here first, so a cell or worker engine
-   leaking into another domain trips this guard on its first new
-   instrument instead of corrupting the table.  The per-cell update paths
-   ([incr], [observe], …) stay guard-free — they are the hot path, and
-   they only ever touch handles this registration already vetted. *)
+   collisions. *)
 let register t name entry =
-  if Domain.self () <> t.owner then
-    invalid_arg
-      ("Metrics: registration of " ^ name
-     ^ " from a domain that does not own this registry (instrumentation is \
-        single-domain: give each domain its own engine)");
   if Hashtbl.mem t.by_name name then
     invalid_arg ("Metrics: duplicate registration of " ^ name);
   Hashtbl.add t.by_name name entry;

@@ -4,15 +4,8 @@
     instruments under dotted names ("cache.hits", "disk.data.io_us") and
     mutate them through O(1) handles; readers ([Engine_stats], the CLI)
     address them by name.  The registry never touches the simulated clock,
-    so it cannot perturb simulated time.
-
-    Instrumentation is single-domain: a registry belongs to the domain
-    that created it (normally the domain running that engine), and
-    registering an instrument from any other domain raises
-    [Invalid_argument] — a loud guard, since a silent cross-domain race
-    would corrupt the table.  The domain-parallel harness and redo honour
-    this by giving every domain its own engine, hence its own registry;
-    reading a registry after the owning domain has been joined is safe. *)
+    so it cannot perturb simulated time.  A registry is not safe to share
+    across domains. *)
 
 type counter
 (** Monotonic integer cell. *)

@@ -18,7 +18,6 @@ type t = {
   buf : event array;
   mutable total : int; (* events ever recorded *)
   mutable stopped : bool;
-  owner : Domain.id;  (* instrumentation is single-domain; see trace.mli *)
 }
 
 let track_recovery = 0
@@ -78,21 +77,11 @@ let create ~now ?(capacity = 65536) () =
     buf = Array.make capacity dummy;
     total = 0;
     stopped = false;
-    owner = Domain.self ();
   }
 
 let now t = t.now ()
 
-(* The ownership guard makes a cross-domain event a loud error instead of
-   a silently torn ring (two domains racing [total] would overwrite each
-   other's slots).  One comparison per event; tracing is a diagnostic
-   mode, so the cost is irrelevant. *)
 let push t ev =
-  if Domain.self () <> t.owner then
-    invalid_arg
-      ("Trace: event '" ^ ev.name
-     ^ "' pushed from a domain that does not own this ring (instrumentation \
-        is single-domain: give each domain its own engine)");
   if not t.stopped then begin
     t.buf.(t.total mod t.capacity) <- ev;
     t.total <- t.total + 1

@@ -10,15 +10,8 @@
     disabled path (components hold a [t option] and skip emission when it
     is [None]), so enabling tracing cannot change simulated results — and
     because timestamps come from the deterministic simulation, two
-    identical-seed runs export byte-identical files.
-
-    Instrumentation is single-domain: the ring belongs to the domain that
-    created it, and recording an event from any other domain raises
-    [Invalid_argument] — a loud guard, since two domains racing the write
-    cursor would silently tear the ring.  The domain-parallel harness and
-    redo honour this by giving every domain its own engine (and so its own
-    ring); reading or exporting after the owning domain has been joined is
-    safe. *)
+    identical-seed runs export byte-identical files.  A trace is not safe
+    to share across domains. *)
 
 type kind =
   | Span

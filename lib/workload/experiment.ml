@@ -37,13 +37,8 @@ let paper_setup ?(scale = 32) ?(ckpt_multiplier = 1) ?(dpt_mode = Config.Standar
       dpt_mode;
       checkpoint_mode;
       (* The paper's experiment is a single data component; callers that
-         want a sharded cell (the sharding sweep in Figures) override this.  Real
-         domains likewise: domain-parallel redo changes simulated redo
-         time, so a cell pins [domains = 1] and its numbers do not depend
-         on DEUT_DOMAINS — callers that want domain-parallel redo inside a
-         recovery override it. *)
+         want a sharded cell (the sharding sweep in Figures) override this. *)
       shards = 1;
-      domains = 1;
       seed = 42 + cache_mb;
     }
   in
@@ -186,8 +181,8 @@ let run_all run methods = List.map (fun m -> (m, run_method run m)) methods
 
 (* Digest of the stable page store after forcing every dirty frame out:
    the complete post-recovery database image, byte for byte.  Paired with
-   [Client_sched.logical_digest], this is what the determinism gate
-   compares across redo domain counts. *)
+   [Client_sched.logical_digest], this is what the determinism gates
+   compare across recoveries of one image. *)
 let store_digest db =
   let engine = Db.engine db in
   Pool.flush_all_dirty engine.Deut_core.Engine.pool;

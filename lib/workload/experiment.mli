@@ -52,8 +52,8 @@ type build_cache
     its [scaled] argument; recoveries copy the crash image before mutating
     anything, so a cached run can back any number of them.  Costs memory:
     every cached crash image (store + log) stays live until evicted — an
-    LRU bound of 16 entries caps how many.  Single-domain: not safe to
-    share across domains. *)
+    LRU bound of 16 entries caps how many.  Not safe to share across
+    domains. *)
 
 val build_cache : unit -> build_cache
 
@@ -90,5 +90,5 @@ val run_all :
 val store_digest : Deut_core.Db.t -> string
 (** Digest of the stable page store after flushing every dirty frame — the
     complete database image, byte for byte.  Together with
-    [Client_sched.logical_digest] this is the determinism gate's currency:
-    recovered state must hash identically at every redo domain count. *)
+    [Client_sched.logical_digest] this is the determinism gates' currency:
+    recovering one image twice must hash identically. *)

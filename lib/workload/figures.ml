@@ -906,139 +906,8 @@ let archiving_table cells =
          archive device and counted as log pages read)"
       ~header:rheader ~rows:rrows ()
 
-(* ---------- prefetch tuning (trace-mined) ---------- *)
-
-module Analysis = Deut_obs.Analysis
-module Tuner = Deut_obs.Tuner
 module Db = Deut_core.Db
 module Engine = Deut_core.Engine
-module Trace = Deut_obs.Trace
-
-type tuning_cell = {
-  t_cache_mb : int;
-  t_method : Recovery.method_;
-  t_outcomes : Tuner.outcome list;
-  t_default : Tuner.outcome;
-}
-
-let candidate_config base (cand : Tuner.candidate) =
-  let source =
-    match Config.prefetch_source_of_string cand.Tuner.source with
-    | Some s -> s
-    | None -> invalid_arg ("run_tuning: unknown prefetch source " ^ cand.Tuner.source)
-  in
-  {
-    base with
-    Config.prefetch_window = cand.Tuner.window;
-    prefetch_chunk = cand.Tuner.chunk;
-    prefetch_lookahead = cand.Tuner.lookahead;
-    prefetch_source = source;
-  }
-
-(* One traced, oracle-verified recovery; fails loudly rather than profiling
-   a truncated trace or a wrong recovery. *)
-let profiled_recovery run method_ config ~meta =
-  let db, stats = Db.recover ~config run.Experiment.image method_ in
-  (match Driver.verify_recovered run.Experiment.driver db with
-  | Ok () -> ()
-  | Error msg ->
-      failwith
-        (Printf.sprintf "tuning recovery with %s produced wrong state: %s"
-           (Recovery.method_to_string method_) msg));
-  let tr =
-    match Engine.trace (Db.engine db) with
-    | Some tr -> tr
-    | None -> failwith "run_tuning: tracing was not enabled"
-  in
-  if Trace.dropped tr > 0 then
-    failwith
-      (Printf.sprintf "run_tuning: trace ring overflowed; trace_capacity of %d would suffice"
-         (Trace.emitted tr));
-  (Analysis.of_trace ~meta tr, stats)
-
-let run_tuning { scale; cache; progress } ~cache_sizes ~methods ~windows ~chunks ~lookaheads =
-  List.concat_map
-    (fun cache_mb ->
-      progress (Printf.sprintf "tuning: cache %d MB (scale 1/%d)" cache_mb scale);
-      let setup = Experiment.paper_setup ~scale ~cache_mb () in
-      let run = Experiment.build ?cache setup in
-      let base = setup.Experiment.config in
-      let default_cand =
-        {
-          Tuner.window = base.Config.prefetch_window;
-          chunk = base.Config.prefetch_chunk;
-          lookahead = base.Config.prefetch_lookahead;
-          source = Config.prefetch_source_to_string base.Config.prefetch_source;
-        }
-      in
-      List.map
-        (fun method_ ->
-          (* Only the dimension the method's prefetcher reads is swept:
-             Log2's PF-driven prefetch ignores the lookahead, SQL2's
-             log-driven prefetch ignores the source (Appendix A). *)
-          let candidates window chunk =
-            match method_ with
-            | Recovery.Log2 ->
-                List.map
-                  (fun source ->
-                    {
-                      Tuner.window;
-                      chunk;
-                      lookahead = default_cand.Tuner.lookahead;
-                      source = Config.prefetch_source_to_string source;
-                    })
-                  [ Config.Pf_list; Config.Dpt_order ]
-            | _ ->
-                List.map
-                  (fun lookahead ->
-                    { Tuner.window; chunk; lookahead; source = default_cand.Tuner.source })
-                  lookaheads
-          in
-          let grid =
-            List.concat_map (fun window -> List.concat_map (candidates window) chunks) windows
-          in
-          let grid = if List.mem default_cand grid then grid else default_cand :: grid in
-          let outcomes =
-            List.map
-              (fun cand ->
-                progress
-                  (Printf.sprintf "tuning: %s %d MB %s"
-                     (Recovery.method_to_string method_)
-                     cache_mb
-                     (Tuner.candidate_to_string cand));
-                let config =
-                  candidate_config
-                    {
-                      base with
-                      Config.tracing = true;
-                      trace_capacity = 1 lsl 20;
-                      (* Tuning compares prefetch settings, so everything
-                         else is pinned — including the env-defaulted
-                         worker/client counts. *)
-                      redo_workers = 1;
-                      clients = 1;
-                    }
-                    cand
-                in
-                let meta =
-                  [
-                    ("method", Recovery.method_to_string method_);
-                    ("cache_mb", string_of_int cache_mb);
-                    ("candidate", Tuner.candidate_to_string cand);
-                  ]
-                in
-                let profile, stats = profiled_recovery run method_ config ~meta in
-                { Tuner.cand; profile; redo_ms = Rs.redo_ms stats })
-              grid
-          in
-          let t_default =
-            match List.find_opt (fun o -> o.Tuner.cand = default_cand) outcomes with
-            | Some o -> o
-            | None -> List.hd outcomes
-          in
-          { t_cache_mb = cache_mb; t_method = method_; t_outcomes = outcomes; t_default })
-        methods)
-    cache_sizes
 
 (* ---------- instant recovery: availability vs cache size ---------- *)
 
@@ -1162,102 +1031,6 @@ let availability_table cells =
        timings are reported)"
     ~header ~rows ()
 
-let tuning_table cells =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun cell ->
-      let default = cell.t_default.Tuner.cand in
-      Buffer.add_string buf
-        (Printf.sprintf "=== prefetch tuning: %s, cache %d MB ===\n"
-           (Recovery.method_to_string cell.t_method)
-           cell.t_cache_mb);
-      Buffer.add_string buf (Tuner.table ~default cell.t_outcomes);
-      (match Tuner.best cell.t_outcomes with
-      | Some best ->
-          let d = cell.t_default in
-          Buffer.add_string buf
-            (Printf.sprintf "recommendation: %s — redo %.3f ms vs default %.3f ms (%+.1f%%)\n"
-               (Tuner.candidate_to_string best.Tuner.cand)
-               best.Tuner.redo_ms d.Tuner.redo_ms
-               (if d.Tuner.redo_ms > 0.0 then
-                  100.0 *. (best.Tuner.redo_ms -. d.Tuner.redo_ms) /. d.Tuner.redo_ms
-                else 0.0))
-      | None -> ());
-      Buffer.add_char buf '\n')
-    cells;
-  Buffer.contents buf
-
-(* ---------- real multicore: domain-parallel redo ---------- *)
-
-type domains_result = {
-  d_domains : int;  (* the -d count: DEUT_DOMAINS above 1, else min(4, cores) *)
-  d_cores : int;
-  d_seq_wall_s : float;
-  d_par_wall_s : float;
-  d_diverged : int option;  (* first partition count whose digests differ *)
-}
-
-(* One image recovered with Log2 by the reference scheduler and by
-   domain-parallel redo at 2, 4, 8 and [domains] partitions; every recovery
-   is oracle-verified and its store and logical digests compared against
-   the single-domain reference. *)
-let run_domains { scale; cache; progress } ~cache_sizes ~domains =
-  let cores = Deut_sim.Domain_pool.available_cores () in
-  let domains =
-    match domains with
-    | Some d -> d
-    | None ->
-        let d = Config.default.Config.domains in
-        if d > 1 then d else Stdlib.min 4 cores
-  in
-  progress
-    (Printf.sprintf "domains: Log2 redo at 1 then %d domain(s), %d core(s) available" domains
-       cores);
-  let cache_mb = List.fold_left Stdlib.max 64 cache_sizes in
-  let run = Experiment.build ?cache (Experiment.paper_setup ~scale ~cache_mb ()) in
-  let redo d =
-    let config = { run.Experiment.image.Deut_core.Crash_image.config with Config.domains = d } in
-    let t0 = Unix.gettimeofday () in
-    let db, _stats = Db.recover ~config run.Experiment.image Recovery.Log2 in
-    let wall = Unix.gettimeofday () -. t0 in
-    (match Driver.verify_recovered run.Experiment.driver db with
-    | Ok () -> ()
-    | Error msg -> failwith (Printf.sprintf "Log2 at %d domains: wrong state: %s" d msg));
-    ((Experiment.store_digest db, Client_sched.logical_digest db), wall)
-  in
-  let reference, seq_wall = redo 1 in
-  let parallel = List.map (fun d -> (d, redo d)) (List.sort_uniq compare [ 2; 4; 8; domains ]) in
-  {
-    d_domains = domains;
-    d_cores = cores;
-    d_seq_wall_s = seq_wall;
-    d_par_wall_s = snd (List.assoc domains parallel);
-    d_diverged =
-      List.find_map (fun (d, (digests, _)) -> if digests <> reference then Some d else None) parallel;
-  }
-
-let domains_table r =
-  Report.table
-    ~title:
-      (Printf.sprintf
-         "Real multicore — domain-parallel Log2 redo, wall clock\n\
-          (%d core(s) available, DEUT_DOMAINS=%d; digests and apply counts are\n\
-          identical at every domain count, simulated redo time is not, and the\n\
-          wall-clock speedup tracks the machine's real core count)"
-         r.d_cores Config.default.Config.domains)
-    ~header:[ "measure"; "1 domain"; Printf.sprintf "%d domains" r.d_domains; "speedup" ]
-    ~rows:
-      [
-        [
-          "Log2 redo (s)";
-          Printf.sprintf "%.2f" r.d_seq_wall_s;
-          Printf.sprintf "%.2f" r.d_par_wall_s;
-          (if r.d_par_wall_s > 0.0 then Printf.sprintf "%.2fx" (r.d_seq_wall_s /. r.d_par_wall_s)
-           else "-");
-        ];
-      ]
-    ()
-
 (* ---------- JSON ---------- *)
 
 type json = Null | Bool of bool | Num of string | Str of string | Arr of json list | Obj of (string * json) list
@@ -1317,18 +1090,6 @@ let fig2_json cell =
       ("db_pages", int cell.db_pages);
       ("build_wall_s", num "%.3f" cell.build_wall_s);
       ("methods", Arr (List.map method_json cell.methods));
-    ]
-
-let domains_json r =
-  Obj
-    [
-      ("requested", int Config.default.Config.domains);
-      ("used", int r.d_domains);
-      ("cores_available", int r.d_cores);
-      ("redo_domains", int r.d_domains);
-      ("redo_seq_wall_s", num "%.3f" r.d_seq_wall_s);
-      ("redo_par_wall_s", num "%.3f" r.d_par_wall_s);
-      ("redo_digest_identical", Bool (r.d_diverged = None));
     ]
 
 let sharding_json c =
@@ -1544,39 +1305,6 @@ let registry =
         $ counts "worker" ~full:[ 1; 2; 4; 8 ] ~quick:[ 1; 4 ];
     };
     {
-      name = "domains";
-      key = "domains";
-      doc =
-        "Real-multicore determinism check: recover one image (built at the largest of \
-         $(b,--cache-sizes)) with Log2 at 1 domain and with domain-parallel redo at 2, 4, 8 \
-         and $(b,-d) partitions, oracle-verify every recovery and prove the store and \
-         logical digests byte-identical at every count.  Reports the wall-clock redo time \
-         at 1 and $(b,-d) domains.";
-      term =
-        Const
-          (fun cache_sizes domains ctx ->
-            let r = run_domains ctx ~cache_sizes ~domains in
-            output ~json:(domains_json r)
-              ~gate:
-                (match r.d_diverged with
-                | Some d ->
-                    Error
-                      (Printf.sprintf "determinism gate — Log2 redo digest diverged at %d partitions"
-                         d)
-                | None ->
-                    Ok
-                      (Printf.sprintf
-                         "determinism gate OK: digests byte-identical at every redo partition \
-                          count; %d core(s) available"
-                         r.d_cores))
-              [ ("DOMAINS (real multicore)", domains_table r) ])
-        $ cache_sizes [ "cache-sizes" ] ~full:[ 256 ] ~quick:[ 256 ]
-        $ param [ "d"; "domains" ]
-            "Domains for the parallel redo (default: DEUT_DOMAINS when set above 1, else \
-             min(4, available cores))."
-            Int_opt ~full:None ~quick:None;
-    };
-    {
       name = "clients";
       key = "concurrency";
       doc =
@@ -1684,42 +1412,6 @@ let registry =
             "Gate: fail (exit 1) unless time-to-full-recovery is at least $(docv)x the \
              time-to-first-transaction at the smallest cache size."
             Float_opt ~full:None ~quick:None;
-    };
-    {
-      name = "tune";
-      key = "tuning";
-      doc =
-        "Sweep prefetch settings per (method, cache size), score each candidate by its \
-         trace-mined profile (stall-attributed time plus late/wasted-prefetch penalties), \
-         and print the recommendation tables.  Every candidate recovery is oracle-verified.";
-      term =
-        Const
-          (fun methods cache_sizes windows chunks lookaheads ctx ->
-            match List.find_opt (fun m -> m <> Recovery.Log2 && m <> Recovery.Sql2) methods with
-            | Some m ->
-                output
-                  ~gate:
-                    (Error
-                       (Printf.sprintf "tune: %s does not prefetch; only log2 and sql2 can be tuned"
-                          (Recovery.method_to_string m)))
-                  []
-            | None ->
-                output
-                  [
-                    ( "PREFETCH TUNING",
-                      tuning_table
-                        (run_tuning ctx ~cache_sizes ~methods ~windows ~chunks ~lookaheads) );
-                  ])
-        $ param ~docv:"METHODS" [] "Comma-separated methods to tune (log2, sql2)." Methods
-            ~full:[ Recovery.Log2; Recovery.Sql2 ] ~quick:[ Recovery.Log2; Recovery.Sql2 ]
-        $ cache_sizes [ "c"; "cache" ] ~full:[ 256; 1024 ] ~quick:[ 512 ]
-        $ param ~docv:"NS" [ "windows" ] "Comma-separated prefetch_window candidates." Ints
-            ~full:[ 8; 16; 32; 64 ] ~quick:[ 16; 32 ]
-        $ param ~docv:"NS" [ "chunks" ] "Comma-separated prefetch_chunk candidates." Ints
-            ~full:[ 4; 8; 16; 32 ] ~quick:[ 8; 16 ]
-        $ param ~docv:"NS" [ "lookaheads" ]
-            "Comma-separated prefetch_lookahead candidates (SQL2 only)." Ints
-            ~full:[ 128; 256; 512; 1024 ] ~quick:[ 256; 512 ];
     };
   ]
 

@@ -81,8 +81,8 @@ type entry = {
 }
 
 val registry : entry list
-(** In bench order: fig2, fig3, appd, split, workers, domains, concurrency,
-    sharding, archiving, availability, tuning. *)
+(** In bench order: fig2, fig3, appd, split, workers, concurrency,
+    sharding, archiving, availability. *)
 
 val run : quick:bool -> ctx -> entry -> output
 (** Run an entry at its full or quick defaults. *)

@@ -20,7 +20,6 @@ let () =
       ("fuzz-recovery", Test_fuzz_recovery.suite);
       ("archive", Test_archive.suite);
       ("parallel-redo", Test_parallel_redo.suite);
-      ("domains", Test_domains.suite);
       ("concurrency", Test_concurrency.suite);
       ("sharding", Test_sharding.suite);
       ("causal", Test_causal.suite);

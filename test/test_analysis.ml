@@ -1,7 +1,7 @@
 (* Trace-mining profiler: stall-attribution invariants against the engine
    counters and the stall histogram, prefetch hit/late/wasted
    reconciliation, byte-identical same-seed profiles, JSON round-trip, the
-   regression gate, empty-input guards, and tuner scoring. *)
+   regression gate and empty-input guards. *)
 
 module Db = Deut_core.Db
 module Config = Deut_core.Config
@@ -13,7 +13,6 @@ module Driver = Deut_workload.Driver
 module Trace = Deut_obs.Trace
 module Metrics = Deut_obs.Metrics
 module Analysis = Deut_obs.Analysis
-module Tuner = Deut_obs.Tuner
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -301,48 +300,6 @@ let test_synthetic_classification () =
   | Some s -> close "demand wait charged to the read" 30.0 s.Analysis.src_stall_us
   | None -> Alcotest.fail "no io_read attribution bucket")
 
-(* ---------- tuner ---------- ----------------------------------------- *)
-
-let profile_with_stall us wasted =
-  let clock = ref 0.0 in
-  let tr = Trace.create ~now:(fun () -> !clock) ~capacity:64 () in
-  for pid = 1 to wasted do
-    Trace.instant tr ~name:"prefetch_page" ~cat:"cache" ~args:[ ("pid", pid); ("lane", 0) ] ()
-  done;
-  if us > 0.0 then begin
-    Trace.span tr ~name:"io_read" ~cat:"io" ~track:Trace.track_data_disk ~ts:0.0 ~dur:us
-      ~args:[ ("pid", 1) ] ();
-    Trace.span tr ~name:"stall" ~cat:"cache" ~ts:0.0 ~dur:us ~args:[ ("pid", 1) ] ()
-  end;
-  Analysis.of_trace tr
-
-let test_tuner_scoring () =
-  let cand window = { Tuner.window; chunk = 16; lookahead = 512; source = "pf-list" } in
-  let out window us wasted =
-    { Tuner.cand = cand window; profile = profile_with_stall us wasted; redo_ms = us /. 1000.0 }
-  in
-  check "best of nothing" true (Tuner.best [] = None);
-  (* Lower stall wins. *)
-  (match Tuner.best [ out 8 500.0 0; out 16 100.0 0; out 32 300.0 0 ] with
-  | Some o -> check_int "lowest stall-attributed score wins" 16 o.Tuner.cand.Tuner.window
-  | None -> Alcotest.fail "no winner");
-  (* Wasted prefetch is penalised even at equal stall time. *)
-  (match Tuner.best [ out 8 100.0 4; out 16 100.0 0 ] with
-  | Some o -> check_int "waste penalty breaks the stall tie" 16 o.Tuner.cand.Tuner.window
-  | None -> Alcotest.fail "no winner");
-  (* Exact score ties resolve by candidate order, deterministically. *)
-  (match Tuner.best [ out 32 100.0 0; out 8 100.0 0; out 16 100.0 0 ] with
-  | Some o -> check_int "tie-break picks the smallest setting" 8 o.Tuner.cand.Tuner.window
-  | None -> Alcotest.fail "no winner");
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  let table = Tuner.table ~default:(cand 32) [ out 8 500.0 0; out 32 300.0 0 ] in
-  check "table marks the default row" true (contains table "default");
-  check "table marks the winner" true (contains table "<-- best")
-
 let suite =
   [
     Alcotest.test_case "stall attribution matches counters" `Quick
@@ -355,5 +312,4 @@ let suite =
     Alcotest.test_case "empty-input guards" `Quick test_empty_trace_guards;
     Alcotest.test_case "warm run reports zeros" `Quick test_warm_run_all_zero;
     Alcotest.test_case "synthetic classification" `Quick test_synthetic_classification;
-    Alcotest.test_case "tuner scoring" `Quick test_tuner_scoring;
   ]

@@ -114,6 +114,17 @@ let test_crash_poisons_handle () =
   let recovered, _ = Db.recover image Deut_core.Recovery.Log1 in
   check "recovered handle lives" true (Db.read recovered ~table:1 ~key:1 = Some "a")
 
+(* [Config.domains] is retired: every engine is assembled through the same
+   check, so both a fresh database and a recovery refuse any value but 1. *)
+let test_retired_domains_rejected () =
+  let retired = { config with Config.domains = 4 } in
+  expect_invalid_arg "create with domains = 4" (fun () -> Db.create ~config:retired ());
+  let db = make () in
+  Db.put db ~table:1 ~key:1 ~value:"a";
+  let image = Db.crash db in
+  expect_invalid_arg "recover with domains = 4" (fun () ->
+      Db.recover ~config:retired image Deut_core.Recovery.Log1)
+
 (* One transaction, one handle: the typed [Db.Txn.t] is the only way to
    drive a transaction (the old int-id shim is gone), and the handle keeps
    working across several operations before its single commit. *)
@@ -311,6 +322,7 @@ let suite =
     Alcotest.test_case "txn handle misuse" `Quick test_txn_handle_misuse;
     Alcotest.test_case "crash poisons the handle" `Quick test_crash_poisons_handle;
     Alcotest.test_case "txn handle reuse" `Quick test_txn_handle_reuse;
+    Alcotest.test_case "retired domains field rejected" `Quick test_retired_domains_rejected;
     Alcotest.test_case "put upsert" `Quick test_put_upsert;
     Alcotest.test_case "WAL invariant under churn" `Quick test_wal_invariant_under_churn;
     Alcotest.test_case "penultimate checkpoint cleans" `Quick test_penultimate_checkpoint_cleans;

@@ -12,7 +12,7 @@ let unique xs = List.length (List.sort_uniq compare xs) = List.length xs
 let test_names_unique () =
   let names = List.map (fun (e : Figures.entry) -> e.name) Figures.registry in
   let keys = List.map (fun (e : Figures.entry) -> e.key) Figures.registry in
-  Alcotest.(check int) "eleven experiments" 11 (List.length Figures.registry);
+  Alcotest.(check int) "nine experiments" 9 (List.length Figures.registry);
   Alcotest.(check bool) "subcommand names unique" true (unique names);
   Alcotest.(check bool) "bench/JSON keys unique" true (unique keys)
 
@@ -36,7 +36,8 @@ let test_rejects_below_one () =
   Alcotest.(check bool) "shards --counts 1,0" true (rejected "shards" "counts" "1,0");
   Alcotest.(check bool) "archive --rounds 0" true (rejected "archive" "rounds" "0");
   Alcotest.(check bool) "fig3 --multipliers 0" true (rejected "fig3" "multipliers" "0");
-  Alcotest.(check bool) "domains -d 0" true (rejected "domains" "d" "0");
+  Alcotest.(check bool) "optional count 0" true
+    (Result.is_error (Figures.parse Figures.Int_opt "0"));
   Alcotest.(check bool) "workers --counts ''" true (rejected "workers" "counts" "");
   Alcotest.(check bool) "archive --rounds 1" false (rejected "archive" "rounds" "1");
   Alcotest.(check bool) "scale 0" true

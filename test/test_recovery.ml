@@ -112,6 +112,34 @@ let test_recovery_idempotent () =
         [ Recovery.Log0; Recovery.Sql1 ])
     [ Recovery.Log1; Recovery.Sql2 ]
 
+(* A crash image is an immutable input: recovering it never changes it, so
+   one image can back any number of recoveries (the bench's build cache
+   relies on this).  Log1, then Log2, then Log1 again: the two Log1 runs
+   must agree byte for byte. *)
+let test_crash_image_reusable () =
+  let driver, image = make_crash () in
+  let recover m =
+    let db, s = recover_verified driver image m in
+    ( Experiment.store_digest db,
+      Deut_workload.Client_sched.logical_digest db,
+      [
+        s.Recovery_stats.records_scanned;
+        s.Recovery_stats.redo_candidates;
+        s.Recovery_stats.redo_applied;
+        s.Recovery_stats.skipped_dpt;
+        s.Recovery_stats.skipped_rlsn;
+        s.Recovery_stats.skipped_plsn;
+        s.Recovery_stats.dpt_size;
+        s.Recovery_stats.clrs_written;
+      ] )
+  in
+  let store1, logical1, counts1 = recover Recovery.Log1 in
+  ignore (recover Recovery.Log2);
+  let store2, logical2, counts2 = recover Recovery.Log1 in
+  check "store digest unchanged by reuse" true (String.equal store1 store2);
+  check "logical digest unchanged by reuse" true (String.equal logical1 logical2);
+  Alcotest.(check (list int)) "apply counts unchanged by reuse" counts1 counts2
+
 let test_crash_without_checkpoint () =
   let config = small_config () in
   let db = Db.create ~config () in
@@ -689,5 +717,6 @@ let suite =
     Alcotest.test_case "stats accounting" `Quick test_stats_accounting_consistent;
     Alcotest.test_case "stats reset between runs" `Quick test_stats_reset_between_runs;
     Alcotest.test_case "corruption fails loudly" `Quick test_recovery_detects_corruption;
+    Alcotest.test_case "crash image reusable" `Quick test_crash_image_reusable;
     QCheck_alcotest.to_alcotest prop_recovery_equivalence;
   ]
