@@ -32,16 +32,17 @@ let section title =
   print_endline (String.make 78 '=');
   print_newline ()
 
-(* Wall-clock accounting per harness section, reported at the end and in the
-   JSON summary.  The workload is allocation-heavy (every insert encodes a
-   log record; every flush stamps a page image), so a minor heap sized for
-   interactive programs spends a measurable fraction of the run in the GC —
-   give the bench process a larger nursery up front. *)
-let () =
-  Gc.set
-    { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024; Gc.space_overhead = 400 }
+(* Wall-clock and memory accounting per harness section, reported at the
+   end and in the JSON summary.  The workload is allocation-heavy (every
+   insert encodes a log record; every flush stamps a page image), so a minor
+   heap sized for interactive programs spends a measurable fraction of the
+   run in the GC — give the bench process a larger nursery up front.  The
+   major heap keeps OCaml's default [space_overhead]: raising it trades
+   peak RSS for little wall clock. *)
+let () = Gc.set { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024 }
 
-let section_walls : (string * float) list ref = ref []
+(* (name, wall seconds, peak RSS in kB at the section's end), newest first *)
+let section_stats : (string * float * int) list ref = ref []
 
 (* The process's peak resident set (VmHWM) in kB; 0 where /proc is absent. *)
 let peak_rss_kb () =
@@ -61,7 +62,7 @@ let peak_rss_kb () =
 let timed_section name f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
-  section_walls := (name, Unix.gettimeofday () -. t0) :: !section_walls;
+  section_stats := (name, Unix.gettimeofday () -. t0, peak_rss_kb ()) :: !section_stats;
   r
 
 let () =
@@ -72,13 +73,7 @@ let () =
      All recovery runs are verified against the committed-state oracle before\n\
      their timings are reported.\n"
     scale (436_000 / scale);
-  (* Shared across sections: several sweeps use structurally identical
-     setups (fig2@512 = fig3@1x = the standard-Δ ablation row, fig2@64 =
-     the small-cache parallel-redo sweep), and each duplicate build costs
-     real seconds.  Results are identical either way — [Experiment.build]
-     is deterministic. *)
-  let build_cache = Deut_workload.Experiment.build_cache () in
-  let ctx = { Figures.scale; cache = Some build_cache; progress } in
+  let ctx = { Figures.scale; progress } in
   let blocks =
     List.filter_map
       (fun (e : Figures.entry) ->
@@ -98,21 +93,18 @@ let () =
       Figures.registry
   in
 
-  (* Bechamel micro-benchmarks: wall-clock cost of the engine's hot paths.
-     Drop the build cache first: bechamel compacts the heap around every
-     benchmark, and hundreds of MB of retained crash images would turn each
-     compaction into seconds. *)
-  Deut_workload.Experiment.drop_cache build_cache;
-  Gc.compact ();
+  (* Bechamel micro-benchmarks: wall-clock cost of the engine's hot paths. *)
   section "MICRO-BENCHMARKS (Bechamel, wall clock)";
   print_string (timed_section "micro" (fun () -> Micro.run ()));
 
   let total_wall_s = Unix.gettimeofday () -. harness_t0 in
-  let walls = List.rev !section_walls in
+  let sections = List.rev !section_stats in
   let cores = Domain.recommended_domain_count () in
   let peak_rss_kb = peak_rss_kb () in
-  section "WALL-CLOCK PER SECTION (real seconds, not simulated)";
-  List.iter (fun (name, w) -> Printf.printf "  %-14s %7.2f s\n" name w) walls;
+  section "WALL-CLOCK PER SECTION (real seconds, not simulated; peak RSS at section end)";
+  List.iter
+    (fun (name, w, rss) -> Printf.printf "  %-14s %7.2f s %10d kB\n" name w rss)
+    sections;
   Printf.printf "  %-14s %7.2f s\n" "total" total_wall_s;
   Printf.printf "  %-14s %7d\n" "cores" cores;
   Printf.printf "  %-14s %7d kB\n" "peak RSS" peak_rss_kb;
@@ -133,8 +125,14 @@ let () =
          ( "sections",
            Figures.Arr
              (List.map
-                (fun (name, w) -> Figures.Obj [ ("name", Figures.Str name); ("wall_s", secs w) ])
-                walls) );
+                (fun (name, w, rss) ->
+                  Figures.Obj
+                    [
+                      ("name", Figures.Str name);
+                      ("wall_s", secs w);
+                      ("peak_rss_kb", Figures.Num (string_of_int rss));
+                    ])
+                sections) );
        ]
       @ blocks)
   in

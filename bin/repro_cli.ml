@@ -9,7 +9,6 @@ module Recovery_stats = Deut_core.Recovery_stats
 module Config = Deut_core.Config
 module Db = Deut_core.Db
 module Engine = Deut_core.Engine
-module Driver = Deut_workload.Driver
 module Report = Deut_workload.Report
 module Trace = Deut_obs.Trace
 module Metrics = Deut_obs.Metrics
@@ -64,7 +63,7 @@ let scale_arg = arg_of_param Figures.scale_param
 (* One subcommand per registry entry: its tables, then its gate. *)
 let experiment_cmd (e : Figures.entry) =
   let run body scale =
-    let out = body { Figures.scale; cache = None; progress } in
+    let out = body { Figures.scale; progress } in
     print_string (String.concat "\n" (List.map snd out.Figures.sections));
     match out.Figures.gate with
     | None -> ()
@@ -182,12 +181,7 @@ let trace_cmd =
     in
     progress (Printf.sprintf "recovering with %s, tracing on" (Recovery.method_to_string method_));
     let db, stats = Db.recover ~config crash.Experiment.image method_ in
-    (match Driver.verify_recovered crash.Experiment.driver db with
-    | Ok () -> ()
-    | Error msg ->
-        failwith
-          (Printf.sprintf "recovery with %s produced wrong state: %s"
-             (Recovery.method_to_string method_) msg));
+    Experiment.verify crash method_ db;
     let tr =
       match Engine.trace (Db.engine db) with
       | Some tr -> tr
@@ -265,12 +259,7 @@ let recover_standard ~scale ~cache ~tracing method_ =
   progress (Printf.sprintf "recovering with %s%s" (Recovery.method_to_string method_)
        (if tracing then ", tracing on" else ""));
   let db, stats = Db.recover ~config crash.Experiment.image method_ in
-  (match Driver.verify_recovered crash.Experiment.driver db with
-  | Ok () -> ()
-  | Error msg ->
-      failwith
-        (Printf.sprintf "recovery with %s produced wrong state: %s"
-           (Recovery.method_to_string method_) msg));
+  Experiment.verify crash method_ db;
   (db, stats)
 
 let method_pos_arg =

@@ -167,49 +167,40 @@ type t = {
   seed : int;
 }
 
-let default_redo_workers =
-  match Sys.getenv_opt "DEUT_REDO_WORKERS" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some n when n >= 1 -> n | _ -> 1)
-  | None -> 1
+(* Environment parsers, shared by [of_env] and the five [default] fields
+   seeded from the environment.  Invalid or out-of-range values are
+   ignored rather than fatal — the env is a convenience channel, not a
+   config file: each parser returns [current] for them. *)
+let pos_int name current =
+  match Sys.getenv_opt name with
+  | Some s -> (
+      match int_of_string_opt (String.trim s) with Some n when n >= 1 -> n | _ -> current)
+  | None -> current
 
-let default_clients =
-  match Sys.getenv_opt "DEUT_CLIENTS" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some n when n >= 1 -> n | _ -> 1)
-  | None -> 1
+let nonneg_int name current =
+  match Sys.getenv_opt name with
+  | Some s -> (
+      match int_of_string_opt (String.trim s) with Some n when n >= 0 -> n | _ -> current)
+  | None -> current
 
-let default_shards =
-  match Sys.getenv_opt "DEUT_SHARDS" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some n when n >= 1 -> n | _ -> 1)
-  | None -> 1
+let flag name current =
+  match Sys.getenv_opt name with
+  | Some s -> (
+      match String.trim s with
+      | "1" | "true" | "yes" -> true
+      | "0" | "false" | "no" -> false
+      | _ -> current)
+  | None -> current
+
+let nonneg_float name current =
+  match Sys.getenv_opt name with
+  | Some s -> (
+      match float_of_string_opt (String.trim s) with Some f when f >= 0.0 -> f | _ -> current)
+  | None -> current
 
 (* Environment overrides, applied to an already-built config so callers
-   can layer them over experiment-specific settings.  Invalid or
-   out-of-range values are ignored rather than fatal — the env is a
-   convenience channel, not a config file. *)
+   can layer them over experiment-specific settings. *)
 let of_env config =
-  let pos_int name current =
-    match Sys.getenv_opt name with
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with Some n when n >= 1 -> n | _ -> current)
-    | None -> current
-  in
-  let nonneg_int name current =
-    match Sys.getenv_opt name with
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with Some n when n >= 0 -> n | _ -> current)
-    | None -> current
-  in
-  let flag name current =
-    match Sys.getenv_opt name with
-    | Some s -> ( match String.trim s with "1" | "true" | "yes" -> true | "0" | "false" | "no" -> false | _ -> current)
-    | None -> current
-  in
-  let nonneg_float name current =
-    match Sys.getenv_opt name with
-    | Some s -> (
-        match float_of_string_opt (String.trim s) with Some f when f >= 0.0 -> f | _ -> current)
-    | None -> current
-  in
   {
     config with
     trace_capacity = pos_int "DEUT_TRACE_CAP" config.trace_capacity;
@@ -252,20 +243,18 @@ let default =
     prefetch_chunk = 16;
     prefetch_lookahead = 512;
     prefetch_source = Pf_list;
-    redo_workers = default_redo_workers;
+    redo_workers = pos_int "DEUT_REDO_WORKERS" 1;
     log_layout = Integrated;
     locking = false;
     group_commit = 1;
-    clients = default_clients;
+    clients = pos_int "DEUT_CLIENTS" 1;
     think_us = 300.0;
     retry_backoff_us = 150.0;
     flight = true;
     flight_capacity = 128;
     tracing = false;
     trace_capacity = 65536;
-    archive = (match Sys.getenv_opt "DEUT_ARCHIVE" with
-              | Some s -> ( match String.trim s with "1" | "true" | "yes" -> true | _ -> false)
-              | None -> false);
+    archive = flag "DEUT_ARCHIVE" false;
     archive_min_bytes = 0;
     (* Sequential device: segment copies and restart scans are streaming
        workloads, so give the archive a long sequential-gap like the log
@@ -277,11 +266,9 @@ let default =
         sequential_gap = 4;
         batch_seek_factor = 0.75;
       };
-    shards = default_shards;
+    shards = pos_int "DEUT_SHARDS" 1;
     domains = 1;
-    net = (match Sys.getenv_opt "DEUT_NET" with
-          | Some s -> ( match String.trim s with "1" | "true" | "yes" -> true | _ -> false)
-          | None -> false);
+    net = flag "DEUT_NET" false;
     (* A LAN-ish default cost model, only charged when [net] is on. *)
     net_latency_us = 50.0;
     net_jitter_us = 0.0;

@@ -72,7 +72,8 @@ let paper_setup ?(scale = 32) ?(ckpt_multiplier = 1) ?(dpt_mode = Config.Standar
 
 type crash_run = {
   image : Deut_core.Crash_image.t;
-  driver : Driver.t;
+  oracle : Oracle.t;
+  tables : int list;
   dirty_at_crash : int;
   cached_at_crash : int;
   dirty_fraction : float;
@@ -84,23 +85,10 @@ type crash_run = {
   updates_run : int;
 }
 
-(* [build] is deterministic: the same [scaled] record always yields the same
-   workload, crash image, and statistics.  A cache therefore only saves wall
-   clock — several harness sections use structurally identical setups (e.g.
-   the 512 MB Figure 2 cell, the 1x Figure 3 cell, and the standard-Δ
-   ablation row), and each build costs real seconds at small scales.  The
-   cached [crash_run] is safe to share: recoveries instantiate fresh store
-   and log copies from the image, and verification only reads the oracle.
-   An LRU list bounds retained crash images to [max_entries]. *)
-type build_cache = {
-  entries : (scaled, crash_run) Hashtbl.t;
-  mutable lru : scaled list;  (* most recently used first *)
-}
-
-let max_entries = 16
-let build_cache () : build_cache = { entries = Hashtbl.create 8; lru = [] }
-
-let build_uncached scaled =
+(* The driver, and with it the dead pre-crash engine, pool and store, is
+   dropped on return: a run keeps only what recovery reads (the image) and
+   what verification reads (the oracle and the table list). *)
+let build scaled =
   let driver = Driver.create ~config:scaled.config scaled.spec in
   Driver.warm_to_equilibrium driver;
   Driver.run_crash_protocol driver ~checkpoints:scaled.protocol.checkpoints
@@ -118,7 +106,8 @@ let build_uncached scaled =
   let bw_bytes = Db.bw_bytes database in
   {
     image = Driver.crash driver;
-    driver;
+    oracle = Driver.oracle driver;
+    tables = List.init scaled.spec.Workload.tables (fun i -> i + 1);
     dirty_at_crash = dirty;
     cached_at_crash;
     dirty_fraction = float_of_int dirty /. float_of_int (Pool.capacity pool);
@@ -130,30 +119,13 @@ let build_uncached scaled =
     updates_run = Driver.updates_done driver;
   }
 
-let drop_cache c =
-  Hashtbl.reset c.entries;
-  c.lru <- []
-
-let build ?cache scaled =
-  match cache with
-  | None -> build_uncached scaled
-  | Some c -> (
-      let touch () = c.lru <- scaled :: List.filter (fun s -> s <> scaled) c.lru in
-      match Hashtbl.find_opt c.entries scaled with
-      | Some run ->
-          touch ();
-          run
-      | None ->
-          let run = build_uncached scaled in
-          Hashtbl.replace c.entries scaled run;
-          touch ();
-          (if List.length c.lru > max_entries then
-             match List.rev c.lru with
-             | oldest :: _ ->
-                 Hashtbl.remove c.entries oldest;
-                 c.lru <- List.filter (fun s -> s <> oldest) c.lru
-             | [] -> ());
-          run)
+let verify run method_ db =
+  match Oracle.verify run.oracle db ~tables:run.tables with
+  | Ok () -> ()
+  | Error msg ->
+      failwith
+        (Printf.sprintf "recovery with %s produced wrong state: %s"
+           (Recovery.method_to_string method_) msg)
 
 let recover_verified ?workers run method_ =
   let config =
@@ -166,12 +138,7 @@ let recover_verified ?workers run method_ =
      thousands of its own page fetches, which would swamp the recovery-time
      IO and stall histograms. *)
   let engine = Deut_core.Engine_stats.capture (Db.engine recovered) in
-  (match Driver.verify_recovered run.driver recovered with
-  | Ok () -> ()
-  | Error msg ->
-      failwith
-        (Printf.sprintf "recovery with %s produced wrong state: %s"
-           (Recovery.method_to_string method_) msg));
+  verify run method_ recovered;
   (recovered, engine, stats)
 
 let run_method ?workers run method_ =

@@ -32,10 +32,13 @@ val paper_setup :
     5×ci1, 10×ci1).  Default [scale] is 32. *)
 
 (** A crashed system ready for side-by-side recovery: the shared crash
-    image, the oracle, and normal-execution measurements. *)
+    image, the oracle, and normal-execution measurements.  Nothing of the
+    pre-crash database (engine, pool, store) is kept: recovery reads only
+    [image], and verification only [oracle] and [tables]. *)
 type crash_run = {
   image : Deut_core.Crash_image.t;
-  driver : Driver.t;  (** for its oracle; the driver's db is dead *)
+  oracle : Oracle.t;  (** the committed state at the crash *)
+  tables : int list;  (** the tables [oracle] is checked against *)
   dirty_at_crash : int;
   cached_at_crash : int;
   dirty_fraction : float;  (** dirty pages / cache capacity — Figure 2(b) *)
@@ -47,23 +50,15 @@ type crash_run = {
   updates_run : int;
 }
 
-type build_cache
-(** Memoizes [build] by setup.  Sound because [build] is deterministic in
-    its [scaled] argument; recoveries copy the crash image before mutating
-    anything, so a cached run can back any number of them.  Costs memory:
-    every cached crash image (store + log) stays live until evicted — an
-    LRU bound of 16 entries caps how many.  Not safe to share across
-    domains. *)
-
-val build_cache : unit -> build_cache
-
-val drop_cache : build_cache -> unit
-(** Empty the cache, releasing every retained crash image. *)
-
-val build : ?cache:build_cache -> scaled -> crash_run
+val build : scaled -> crash_run
 (** Load, warm to cache equilibrium, run the crash protocol, leave one
-    uncommitted transaction, crash.  With [cache], an equal [scaled] returns
-    the cached (physically equal) run. *)
+    uncommitted transaction, crash.  Deterministic in [scaled]: an equal
+    setup always yields the same image and statistics, so callers build
+    each cell when they need it and let it go after its recoveries. *)
+
+val verify : crash_run -> Deut_core.Recovery.method_ -> Deut_core.Db.t -> unit
+(** Check a database recovered from [run.image] with the given method
+    against the oracle ({!Oracle.verify}); raises [Failure] on divergence. *)
 
 val run_method :
   ?workers:int -> crash_run -> Deut_core.Recovery.method_ -> Deut_core.Recovery_stats.t

@@ -4,7 +4,7 @@ module Rs = Deut_core.Recovery_stats
 
 let paper_cache_sizes = [ 64; 128; 256; 512; 1024; 2048 ]
 
-type ctx = { scale : int; cache : Experiment.build_cache option; progress : string -> unit }
+type ctx = { scale : int; progress : string -> unit }
 
 type fig2_cell = {
   cache_mb : int;
@@ -21,21 +21,14 @@ type fig2_cell = {
 let stats_of cell m = List.assoc m cell.methods
 let redo_ms_of cell m = Rs.redo_ms (stats_of cell m)
 
-let run_fig2 { scale; cache; progress } ~cache_sizes =
-  (* Phase 1: one build per cache size. *)
-  let builds =
-    List.map
-      (fun cache_mb ->
-        progress (Printf.sprintf "fig2: cache %d MB (scale 1/%d)" cache_mb scale);
-        let setup = Experiment.paper_setup ~scale ~cache_mb () in
-        let t0 = Unix.gettimeofday () in
-        let run = Experiment.build ?cache setup in
-        (cache_mb, setup, run, Unix.gettimeofday () -. t0))
-      cache_sizes
-  in
-  (* Phase 2: every (cache size, method) recovery of the grid. *)
+let run_fig2 { scale; progress } ~cache_sizes =
   List.map
-    (fun (cache_mb, setup, run, build_wall_s) ->
+    (fun cache_mb ->
+      progress (Printf.sprintf "fig2: cache %d MB (scale 1/%d)" cache_mb scale);
+      let setup = Experiment.paper_setup ~scale ~cache_mb () in
+      let t0 = Unix.gettimeofday () in
+      let run = Experiment.build setup in
+      let build_wall_s = Unix.gettimeofday () -. t0 in
       let timed =
         List.map
           (fun m ->
@@ -62,7 +55,7 @@ let run_fig2 { scale; cache; progress } ~cache_sizes =
         build_wall_s;
         method_walls = List.map (fun (m, _, w) -> (m, w)) timed;
       })
-    builds
+    cache_sizes
 
 let method_columns cells =
   match cells with [] -> [] | cell :: _ -> List.map fst cell.methods
@@ -246,13 +239,13 @@ let costmodel cells =
 
 type fig3_cell = { multiplier : int; methods3 : (Recovery.method_ * Rs.t) list }
 
-let run_fig3 { scale; cache; progress } ~cache_mb ~multipliers =
+let run_fig3 { scale; progress } ~cache_mb ~multipliers =
   List.map
     (fun multiplier ->
       progress
         (Printf.sprintf "fig3: checkpoint interval %dx (scale 1/%d)" multiplier scale);
       let setup = Experiment.paper_setup ~scale ~cache_mb ~ckpt_multiplier:multiplier () in
-      let run = Experiment.build ?cache setup in
+      let run = Experiment.build setup in
       { multiplier; methods3 = Experiment.run_all run Recovery.all_methods })
     multipliers
 
@@ -282,11 +275,11 @@ type appd_row = {
   delta_kb : float;
 }
 
-let run_appd { scale; cache; progress } ~cache_mb =
+let run_appd { scale; progress } ~cache_mb =
   let row label ?dpt_mode ?checkpoint_mode method_ =
     progress (Printf.sprintf "appd: %s (scale 1/%d)" label scale);
     let setup = Experiment.paper_setup ~scale ~cache_mb ?dpt_mode ?checkpoint_mode () in
-    let run = Experiment.build ?cache setup in
+    let run = Experiment.build setup in
     let stats = Experiment.run_method run method_ in
     {
       label;
@@ -314,7 +307,7 @@ type split_row = {
   dc_log_kb : float;
 }
 
-let run_split { scale; cache; progress } ~cache_mb =
+let run_split { scale; progress } ~cache_mb =
   let module Ci = Deut_core.Crash_image in
   let module Log = Deut_wal.Log_manager in
   List.concat_map
@@ -326,7 +319,7 @@ let run_split { scale; cache; progress } ~cache_mb =
       let setup =
         { setup with Experiment.config = { setup.Experiment.config with Config.log_layout = layout } }
       in
-      let run = Experiment.build ?cache setup in
+      let run = Experiment.build setup in
       let image = run.Experiment.image in
       let retained log = float_of_int (Log.end_lsn log - Log.base_lsn log) /. 1024.0 in
       let tc_kb = retained image.Ci.log in
@@ -418,28 +411,20 @@ type workers_cell = {
   w_engine : Es.t;
 }
 
-let run_workers { scale; cache; progress } ~cache_sizes ~workers =
-  let builds =
-    List.map
-      (fun cache_mb ->
-        progress (Printf.sprintf "workers: cache %d MB (scale 1/%d)" cache_mb scale);
-        let setup = Experiment.paper_setup ~scale ~cache_mb () in
-        (cache_mb, Experiment.build ?cache setup))
-      cache_sizes
-  in
-  let tasks =
-    List.concat_map
-      (fun (cache_mb, run) ->
-        List.concat_map
-          (fun m -> List.map (fun w -> (cache_mb, run, m, w)) workers)
-          Recovery.all_methods)
-      builds
-  in
-  List.map
-    (fun (cache_mb, run, m, w) ->
-      let _db, engine, stats = Experiment.recover_verified ~workers:w run m in
-      { w_cache_mb = cache_mb; w_method = m; w_count = w; w_stats = stats; w_engine = engine })
-    tasks
+let run_workers { scale; progress } ~cache_sizes ~workers =
+  List.concat_map
+    (fun cache_mb ->
+      progress (Printf.sprintf "workers: cache %d MB (scale 1/%d)" cache_mb scale);
+      let run = Experiment.build (Experiment.paper_setup ~scale ~cache_mb ()) in
+      List.concat_map
+        (fun m ->
+          List.map
+            (fun w ->
+              let _db, w_engine, w_stats = Experiment.recover_verified ~workers:w run m in
+              { w_cache_mb = cache_mb; w_method = m; w_count = w; w_stats; w_engine })
+            workers)
+        Recovery.all_methods)
+    cache_sizes
 
 let workers_table cells =
   let base cell =
@@ -923,15 +908,15 @@ type availability_cell = {
   v_probe_reads : int;
 }
 
-let run_availability { scale; cache; progress } ~cache_sizes ~probes =
+let run_availability { scale; progress } ~cache_sizes ~probes =
   List.map
     (fun cache_mb ->
       progress (Printf.sprintf "availability: cache %d MB (scale 1/%d)" cache_mb scale);
       let setup = Experiment.paper_setup ~scale ~cache_mb () in
-      let run = Experiment.build ?cache setup in
+      let run = Experiment.build setup in
       let image = run.Experiment.image in
       let verify what db =
-        match Driver.verify_recovered run.Experiment.driver db with
+        match Oracle.verify run.Experiment.oracle db ~tables:run.Experiment.tables with
         | Ok () -> ()
         | Error msg ->
             failwith (Printf.sprintf "availability %d MB: %s: %s" cache_mb what msg)

@@ -59,12 +59,7 @@ type _ term = Const : 'a -> 'a term | App : ('a -> 'b) term * 'a param -> 'b ter
 
 (** {1 Experiments} *)
 
-type ctx = {
-  scale : int;
-  cache : Experiment.build_cache option;
-      (** shared crash-image builds; results are identical without it *)
-  progress : string -> unit;
-}
+type ctx = { scale : int; progress : string -> unit }
 
 type output = {
   sections : (string * string) list;  (** (bench section title, rendered tables) *)

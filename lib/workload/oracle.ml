@@ -112,4 +112,6 @@ let verify t db ~tables =
     | [] -> Ok ()
     | table :: rest -> ( match check_table table with Ok () -> go rest | Error _ as e -> e)
   in
-  go tables
+  match Deut_core.Db.check_integrity db with
+  | Error msg -> Error ("integrity: " ^ msg)
+  | Ok () -> go tables

@@ -39,5 +39,6 @@ val committed_entries : t -> table:int -> (int * string) list
 val entry_count : t -> table:int -> int
 
 val verify : t -> Deut_core.Db.t -> tables:int list -> (unit, string) result
-(** Compare the database contents (a full scan — post-recovery use only)
-    against the committed state of every listed table. *)
+(** Check every B-tree's structural invariants ({!Deut_core.Db.check_integrity}),
+    then compare the database contents (a full scan — post-recovery use
+    only) against the committed state of every listed table. *)

@@ -19,7 +19,7 @@ let test_names_unique () =
 (* Same entry, same quick parameters, same scale: byte-identical tables and
    JSON, run after run. *)
 let test_deterministic name () =
-  let ctx = { Figures.scale = 512; cache = None; progress = ignore } in
+  let ctx = { Figures.scale = 512; progress = ignore } in
   let render () =
     let out = Figures.run ~quick:true ctx (entry name) in
     (out.sections, Option.map Figures.json_to_string out.json)

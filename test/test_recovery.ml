@@ -455,7 +455,7 @@ let test_prefetch_coverage_and_drain_parity () =
   let run = Lazy.force long_log_run in
   let image = run.Experiment.image in
   let verify what db =
-    match Driver.verify_recovered run.Experiment.driver db with
+    match Oracle.verify run.Experiment.oracle db ~tables:run.Experiment.tables with
     | Ok () -> ()
     | Error msg -> Alcotest.failf "%s: %s" what msg
   in
@@ -508,7 +508,7 @@ let test_extent_read_ahead () =
     let db, stats = Db.recover ~config image m in
     (* Read before verification, which scans the whole store. *)
     let seeks = (Deut_sim.Disk.counters (Db.engine db).Engine.data_disk).Deut_sim.Disk.seeks in
-    (match Driver.verify_recovered run.Experiment.driver db with
+    (match Oracle.verify run.Experiment.oracle db ~tables:run.Experiment.tables with
     | Ok () -> ()
     | Error msg -> Alcotest.failf "%s: %s" (Recovery.method_to_string m) msg);
     (Experiment.store_digest db, stats, seeks)

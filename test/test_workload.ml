@@ -148,18 +148,15 @@ let test_experiment_tiny () =
     (fun (_, stats) -> check "redo happened" true (stats.Deut_core.Recovery_stats.records_scanned > 0))
     results
 
-(* The build cache memoizes by setup: an equal [scaled] returns the very
-   same run, a different one builds anew, and [drop_cache] forgets all. *)
-let test_build_cache () =
-  let cache = Experiment.build_cache () in
-  let setup cache_mb = Experiment.paper_setup ~scale:16384 ~cache_mb () in
-  let small = setup 64 and large = setup 128 in
-  let first = Experiment.build ~cache small in
-  check "equal setup hits" true (Experiment.build ~cache (setup 64) == first);
-  check "different setup builds" true (Experiment.build ~cache large != first);
-  check "still cached" true (Experiment.build ~cache small == first);
-  Experiment.drop_cache cache;
-  check "rebuilt after drop" true (Experiment.build ~cache small != first)
+(* A crash run holds the crash image and the oracle and nothing of the
+   pre-crash database: everything it reaches beyond those two is the run's
+   own record, its table list and boxed floats. *)
+let test_crash_run_retention () =
+  let run = Experiment.build (Experiment.paper_setup ~scale:16384 ~cache_mb:64 ()) in
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let bound = words run.Experiment.image + words run.Experiment.oracle + 64 in
+  if words run > bound then
+    Alcotest.failf "crash run reaches %d words, image + oracle + slack %d" (words run) bound
 
 let suite =
   [
@@ -172,5 +169,5 @@ let suite =
     Alcotest.test_case "sequential distribution" `Quick test_sequential_distribution;
     Alcotest.test_case "report table" `Quick test_report_table;
     Alcotest.test_case "experiment tiny cell" `Slow test_experiment_tiny;
-    Alcotest.test_case "experiment build cache" `Quick test_build_cache;
+    Alcotest.test_case "crash run retention" `Quick test_crash_run_retention;
   ]
